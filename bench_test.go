@@ -547,7 +547,7 @@ func BenchmarkMemoryRemap(b *testing.B) {
 func BenchmarkCoordinatedExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New(1)
-		l := network.NewLink(s, "x", network.RDMA200, network.DefaultLatency)
+		l := network.NewLink(s, network.RDMA200, network.DefaultLatency)
 		// 10 GB exchange in 256 MiB chunks with interleaved activations.
 		done := false
 		l.SendChunked(10<<30, 256<<20, network.PriorityBulk, "kv", func() { done = true })

@@ -59,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -138,6 +139,10 @@ func main() {
 
 	if !slices.Contains(validExps, *exp) {
 		fmt.Fprintf(os.Stderr, "unknown -exp %q (valid: %s)\n", *exp, strings.Join(validExps, ", "))
+		os.Exit(2)
+	}
+	if err := checkNumericFlags(*instances, *parallel, *intracell, *duration, *load); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -284,6 +289,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, runErr)
 		os.Exit(1)
 	}
+}
+
+// checkNumericFlags rejects negative or non-finite numeric overrides. Zero
+// keeps meaning "use the default"; anything else that cannot be a count, a
+// duration or a multiplier is an error rather than a silent fallback.
+func checkNumericFlags(instances, parallel, intracell int, duration, load float64) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"instances", float64(instances)}, {"parallel", float64(parallel)},
+		{"intracell-parallel", float64(intracell)}, {"duration", duration}, {"load", load},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("-%s %v: must be a finite, non-negative number", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func runSweep(key string, values []float64, cfg experiments.Config, jsonOut bool) error {

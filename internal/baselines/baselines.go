@@ -256,7 +256,7 @@ type Llumnix struct {
 
 // migration is one in-flight KVCache migration. The record and its done
 // closure are recycled via Llumnix.mfree: a migration completes exactly
-// once (the policy never cancels the bulk transfer), so recycling at
+// once (a bulk transfer always runs to completion), so recycling at
 // completion is safe.
 type migration struct {
 	p        *Llumnix

@@ -206,7 +206,7 @@ func TestDisaggPendingHandoffDrains(t *testing.T) {
 		t.Fatal("no handoff ever waited for decode capacity; tighten the workload")
 	}
 	// The wait for decode capacity is a measured stage, not a blind spot.
-	if d := col.StageWaits[metrics.StageHandoffPending]; d == nil || d.Max() <= 0 {
+	if d := col.StageWaits[metrics.StageHandoffPending]; d == nil || d.Percentile(100) <= 0 {
 		t.Fatal("handoff back-pressure left no handoff_pending observation")
 	}
 }

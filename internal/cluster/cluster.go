@@ -532,9 +532,6 @@ func (c *Cluster) requestFinished(r *request.Request) {
 	c.reqPool.Put(r)
 }
 
-// Router returns the dispatch router in use.
-func (c *Cluster) Router() sched.Router { return c.router }
-
 // Tracer returns the cluster's tracer (nil when tracing is off). Policies
 // nil-check it before emitting.
 func (c *Cluster) Tracer() obs.Tracer { return c.tracer }
@@ -665,17 +662,6 @@ func (c *Cluster) CapacityBytes() int64 {
 	for _, g := range c.groups {
 		if !g.Closed() {
 			tokens += int64(g.CapacityTokens())
-		}
-	}
-	return tokens * c.Model.KVBytesPerToken()
-}
-
-// UsedBytes returns allocated KV bytes cluster-wide.
-func (c *Cluster) UsedBytes() int64 {
-	var tokens int64
-	for _, g := range c.groups {
-		if !g.Closed() {
-			tokens += int64(g.UsedTokens())
 		}
 	}
 	return tokens * c.Model.KVBytesPerToken()

@@ -364,8 +364,8 @@ func TestDispatchNoLiveGroupsErrors(t *testing.T) {
 // factories, defaulting to least-loaded + FCFS, and rejects nil factories.
 func TestRouterAndDisciplineWiring(t *testing.T) {
 	def := testCluster(t, 1, recomputePolicy{})
-	if def.Router().Name() != "least-loaded" {
-		t.Errorf("default router %q", def.Router().Name())
+	if def.router.Name() != "least-loaded" {
+		t.Errorf("default router %q", def.router.Name())
 	}
 	if def.Groups()[0].Queue().Name() != "fcfs" {
 		t.Errorf("default discipline %q", def.Groups()[0].Queue().Name())
@@ -380,8 +380,8 @@ func TestRouterAndDisciplineWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Router().Name() != "round-robin" {
-		t.Errorf("router %q", c.Router().Name())
+	if c.router.Name() != "round-robin" {
+		t.Errorf("router %q", c.router.Name())
 	}
 	for _, g := range c.Groups() {
 		if g.Queue().Name() != "priority" {

@@ -348,17 +348,6 @@ func stagesFor(role Role) []stage {
 	return []stage{beforeAdmitStage, admitStage, collectStage, formStage, reserveStage, launchStage}
 }
 
-// StageNames returns the role's stage pipeline in execution order
-// (diagnostics and tests).
-func StageNames(role Role) []string {
-	st := stagesFor(role)
-	out := make([]string, len(st))
-	for i, s := range st {
-		out[i] = s.name
-	}
-	return out
-}
-
 // Queue returns the wait-queue discipline.
 func (e *Engine) Queue() sched.Discipline { return e.queue }
 

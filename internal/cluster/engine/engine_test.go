@@ -35,19 +35,28 @@ func TestRoleSemantics(t *testing.T) {
 	}
 }
 
+// stageNames returns the role's stage pipeline in execution order.
+func stageNames(role Role) []string {
+	var out []string
+	for _, s := range stagesFor(role) {
+		out = append(out, s.name)
+	}
+	return out
+}
+
 // The stage pipeline is role-selected: decode groups run no admission
 // stage (their work arrives by handoff adoption), everyone else runs the
 // full pipeline in the same order the monolithic loop used.
 func TestStagePipelineSelection(t *testing.T) {
 	full := []string{"policy", "admit", "collect", "form", "reserve", "launch"}
-	if got := StageNames(RoleCollocated); !reflect.DeepEqual(got, full) {
+	if got := stageNames(RoleCollocated); !reflect.DeepEqual(got, full) {
 		t.Errorf("collocated stages = %v", got)
 	}
-	if got := StageNames(RolePrefill); !reflect.DeepEqual(got, full) {
+	if got := stageNames(RolePrefill); !reflect.DeepEqual(got, full) {
 		t.Errorf("prefill stages = %v", got)
 	}
 	noAdmit := []string{"policy", "collect", "form", "reserve", "launch"}
-	if got := StageNames(RoleDecode); !reflect.DeepEqual(got, noAdmit) {
+	if got := stageNames(RoleDecode); !reflect.DeepEqual(got, noAdmit) {
 		t.Errorf("decode stages = %v", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"kunserve/internal/cluster"
 	"kunserve/internal/gpu"
 	"kunserve/internal/model"
+	"kunserve/internal/request"
 	"kunserve/internal/sim"
 	"kunserve/internal/workload"
 )
@@ -279,9 +280,46 @@ func TestKVExchangeSecondsMagnitude(t *testing.T) {
 	c, _ := newCluster(t, 2, Options{})
 	// §4.2: exchanging a bursty load's KV takes ~1-2 s on 200 Gbps.
 	// 150K tokens x 192KB/token x 1/2 over 25 GB/s ≈ 0.6 s.
-	s := KVExchangeSeconds(c, 150_000, 0.5)
+	bytes := 150_000 * c.Model.KVBytesPerToken() / 2
+	s := c.Fabric.Egress(0).TransferTime(bytes).Seconds()
 	if s < 0.1 || s > 5 {
 		t.Errorf("exchange estimate = %.2fs, want O(1s)", s)
+	}
+}
+
+// A drop merge can carry a request that a restore split stalled for its KV
+// gather into a new group before the gather lands. The landing must resume
+// the request in the group that holds it now, not in the dissolved one.
+func TestGatherLandsAfterRequestChangesGroup(t *testing.T) {
+	c, p := newCluster(t, 2, Options{DisableDrop: true, DisableRestore: true})
+	old := c.Groups()[0]
+	r := request.New(7, 0, 512, 64)
+	r.SetState(request.StateRunning)
+	r.PrefilledTokens = r.PrefillTarget()
+	seq, err := old.Pool().NewSeq(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Seq = seq
+	old.AdoptRunning(r)
+	p.startGather(c, old, r)
+
+	// Reconfigure while the gather is in flight, the way a drop merge
+	// does: the stall travels with the request into the successor group.
+	running, waiting, stalled := old.ExtractRequests()
+	c.RemoveGroup(old)
+	ng, err := c.NewGroup([]int{old.Instances()[0].ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.TransplantRequests(ng, running, waiting, stalled)
+	if !ng.IsStalled(r) || r.GroupID != ng.ID {
+		t.Fatal("transplant dropped the exchange stall")
+	}
+	for ng.IsStalled(r) && c.Sim.Step() {
+	}
+	if ng.IsStalled(r) || r.State() != request.StateRunning {
+		t.Fatalf("gather landed but request still %v (stalled=%v)", r.State(), ng.IsStalled(r))
 	}
 }
 

@@ -14,10 +14,9 @@ import (
 
 // newLookaheadFormer adapts the lookahead former to the cluster interface.
 // Evaluation goes through the shared per-model lookup table: it returns
-// the exact bits a direct evaluation would, costs less than a memo-map
-// probe, and — being immutable — is safe for the speculative plan fan-out
-// of parallel rounds, where one policy's Former runs on several planning
-// goroutines at once (the per-Former EvalCache was not).
+// the exact bits a direct evaluation would and, being immutable, is safe
+// for the speculative plan fan-out of parallel rounds, where one policy's
+// Former runs on several planning goroutines at once.
 func newLookaheadFormer(m *costmodel.Model, minTokens int) cluster.Former {
 	return &lookahead.Former{Model: m, MinTokens: minTokens, Table: costmodel.ForModel(m)}
 }
@@ -297,13 +296,7 @@ func (p *Policy) startExchange(c *cluster.Cluster, g *cluster.Group,
 	for _, r := range stall {
 		g.Stall(r, request.StateExchanging)
 	}
-	finish := func() {
-		for _, r := range stall {
-			if r.State() == request.StateExchanging {
-				g.Unstall(r)
-			}
-		}
-	}
+	finish := func() { unstallExchanged(c, stall) }
 	egress := c.Fabric.Egress(srcID)
 	if p.opts.DisableCoordinatedExchange {
 		// Ablation: one monolithic transfer monopolizes the NIC and
@@ -313,11 +306,4 @@ func (p *Policy) startExchange(c *cluster.Cluster, g *cluster.Group,
 	}
 	egress.SendChunked(bytes, p.opts.ExchangeChunkBytes, network.PriorityBulk,
 		"exchange", finish)
-}
-
-// KVExchangeSeconds estimates the stall for a given token volume — used by
-// experiments to report exchange cost (§4.2's 1–2 s on 200 Gbps).
-func KVExchangeSeconds(c *cluster.Cluster, tokens int64, frac float64) float64 {
-	bytes := float64(tokens*c.Model.KVBytesPerToken()) * frac
-	return bytes / c.Fabric.Egress(0).Bandwidth()
 }

@@ -177,9 +177,21 @@ func (p *Policy) startGather(c *cluster.Cluster, g *cluster.Group, r *request.Re
 	g.Stall(r, request.StateExchanging)
 	c.Fabric.Egress(g.Instances()[0].ID).SendChunked(bytes,
 		p.opts.ExchangeChunkBytes, network.PriorityBulk,
-		fmt.Sprintf("gather:%d", r.ID), func() {
-			if r.State() == request.StateExchanging {
-				g.Unstall(r)
-			}
-		})
+		fmt.Sprintf("gather:%d", r.ID), func() { unstallExchanged(c, []*request.Request{r}) })
+}
+
+// unstallExchanged resumes requests whose KVCache transfer has landed. A
+// reconfiguration can move a still-stalled request into another group while
+// its bytes are in flight (a drop merge carries stalls over), so each
+// request is resumed in the group that holds it now, and only while that
+// group still holds its exchange stall.
+func unstallExchanged(c *cluster.Cluster, reqs []*request.Request) {
+	for _, r := range reqs {
+		if r.State() != request.StateExchanging {
+			continue
+		}
+		if g := c.GroupByID(r.GroupID); g != nil && g.IsStalled(r) {
+			g.Unstall(r)
+		}
+	}
 }

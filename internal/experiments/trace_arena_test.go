@@ -71,28 +71,3 @@ func TestSharedTraceImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestTraceClone verifies the copy-on-write escape hatch: a clone is equal
-// in content, separate in storage.
-func TestTraceClone(t *testing.T) {
-	runner.ResetTraceArena()
-	t.Cleanup(runner.ResetTraceArena)
-
-	tr, err := Quick().BuildTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := tr.Clone()
-	if cl.Fingerprint() != tr.Fingerprint() {
-		t.Fatal("clone fingerprint differs from original")
-	}
-	if len(cl.Requests) > 0 {
-		cl.Requests[0].InputLen++
-		if cl.Fingerprint() == tr.Fingerprint() {
-			t.Fatal("mutating the clone changed the original")
-		}
-	}
-	if err := runner.CheckTraceArena(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -185,13 +185,3 @@ func (t *Timer) MicrobatchTime(chunks []ChunkWork) sim.Duration {
 func (t *Timer) PrefillTime(prefixLen, chunkLen int) sim.Duration {
 	return t.MicrobatchTime([]ChunkWork{{PrefixLen: prefixLen, ChunkLen: chunkLen}})
 }
-
-// DecodeTime returns the time of one decode iteration over requests with the
-// given context lengths.
-func (t *Timer) DecodeTime(contextLens []int) sim.Duration {
-	chunks := make([]ChunkWork, len(contextLens))
-	for i, n := range contextLens {
-		chunks[i] = ChunkWork{PrefixLen: n, ChunkLen: 1}
-	}
-	return t.MicrobatchTime(chunks)
-}

@@ -49,13 +49,23 @@ func TestPrefillTimeMagnitude(t *testing.T) {
 	}
 }
 
+// decodeTime returns the time of one decode iteration over requests with
+// the given context lengths.
+func decodeTime(t *Timer, contextLens []int) sim.Duration {
+	chunks := make([]ChunkWork, len(contextLens))
+	for i, n := range contextLens {
+		chunks[i] = ChunkWork{PrefixLen: n, ChunkLen: 1}
+	}
+	return t.MicrobatchTime(chunks)
+}
+
 func TestDecodeTimeMagnitude(t *testing.T) {
 	tm := timer14B()
 	ctx := make([]int, 64)
 	for i := range ctx {
 		ctx[i] = 1024
 	}
-	d := tm.DecodeTime(ctx)
+	d := decodeTime(tm, ctx)
 	if d < 10*sim.Millisecond || d > 300*sim.Millisecond {
 		t.Errorf("64-way decode = %v, want O(10-100ms)", d)
 	}
@@ -66,8 +76,8 @@ func TestDecodeTimeMagnitude(t *testing.T) {
 // the time (the λ amortization effect the paper's Eq. 3 models).
 func TestWeightLoadAmortization(t *testing.T) {
 	tm := timer14B()
-	one := tm.DecodeTime([]int{512})
-	two := tm.DecodeTime([]int{512, 512})
+	one := decodeTime(tm, []int{512})
+	two := decodeTime(tm, []int{512, 512})
 	if ratio := float64(two) / float64(one); ratio > 1.2 {
 		t.Errorf("2-req decode / 1-req decode = %.2f, want ~1 (weight-load bound)", ratio)
 	}

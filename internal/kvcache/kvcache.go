@@ -117,15 +117,6 @@ type Block struct {
 	tick uint64
 }
 
-// Refs returns the number of sequences referencing the block.
-func (b *Block) Refs() int { return b.refs }
-
-// Filled returns the tokens of content in the block.
-func (b *Block) Filled() int { return b.filled }
-
-// Shared reports whether the block is published in the shared index.
-func (b *Block) Shared() bool { return b.hash != 0 }
-
 // Pool manages the block inventory of one serving instance (or one pipeline
 // stage's share after a drop).
 type Pool struct {
@@ -223,9 +214,6 @@ func (p *Pool) trace(name string, args [2]obs.Arg) {
 // demand/capacity, so capacity changes must invalidate it like demand
 // changes do.
 func (p *Pool) SetResizeHook(fn func()) { p.resized = fn }
-
-// SharingEnabled reports whether prefix sharing is on.
-func (p *Pool) SharingEnabled() bool { return p.sharing }
 
 // BlockTokens returns tokens per block.
 func (p *Pool) BlockTokens() int { return p.blockTokens }
@@ -793,9 +781,6 @@ func (s *Seq) SharedBlocks() int {
 	}
 	return n
 }
-
-// Swapped reports whether the sequence lives in host memory.
-func (s *Seq) Swapped() bool { return s.swapped }
 
 // fill appends n tokens of content to a block chain already holding
 // `filled` tokens — copy-on-write when the tail block is shared, eviction

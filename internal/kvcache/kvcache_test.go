@@ -102,7 +102,7 @@ func TestSwapOutIn(t *testing.T) {
 	if err := s.SwapOut(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Blocks() != 0 || !s.Swapped() || p.FreeBlocks() != 4 {
+	if s.Blocks() != 0 || !s.swapped || p.FreeBlocks() != 4 {
 		t.Fatal("swap-out accounting")
 	}
 	if s.Tokens() != 256 {
@@ -123,7 +123,7 @@ func TestSwapOutIn(t *testing.T) {
 	if err := s.SwapIn(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Blocks() != 4 || s.Swapped() {
+	if s.Blocks() != 4 || s.swapped {
 		t.Fatal("swap-in accounting")
 	}
 	if err := s.SwapIn(); err == nil {
@@ -540,7 +540,7 @@ func TestSwapOutPartiallyFilledLastBlockWithSharing(t *testing.T) {
 	if err := b.SwapOut(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Blocks() != 0 || !b.Swapped() || b.Tokens() != 138 {
+	if b.Blocks() != 0 || !b.swapped || b.Tokens() != 138 {
 		t.Fatal("swap-out accounting")
 	}
 	if err := p.CheckInvariants(); err != nil {

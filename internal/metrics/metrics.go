@@ -1,7 +1,8 @@
 // Package metrics collects the serving metrics the paper's evaluation
-// reports: TTFT and TPOT distributions (P50/P90/P99/P999), mean-latency and
-// throughput time series (Figure 12/16 panels), SLO-violation ratios under
-// scale factors (Figure 13), and GPU bubble-time ratios (Figure 14).
+// reports: TTFT and TPOT distributions (P50/P90/P99/P999), per-request
+// latency records (from which Figure 13's SLO-violation ratios are
+// computed), and mean-latency and throughput time series (Figure 12/16
+// panels). Figure 14's bubble ratios come from the pipeline executor.
 package metrics
 
 import (
@@ -120,23 +121,6 @@ func (d *Dist) Percentile(p float64) float64 {
 		rank = len(d.samples)
 	}
 	return d.samples[rank-1]
-}
-
-// Max returns the largest sample.
-func (d *Dist) Max() float64 { return d.Percentile(100) }
-
-// ViolationRatio returns the fraction of samples exceeding the limit.
-func (d *Dist) ViolationRatio(limit float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range d.samples {
-		if v > limit {
-			n++
-		}
-	}
-	return float64(n) / float64(len(d.samples))
 }
 
 // Series accumulates values into fixed-width time windows.
@@ -490,110 +474,4 @@ func (c *Collector) ThroughputTokensPerSec() float64 {
 		total += v
 	}
 	return total / (float64(len(sums)) * c.Tokens.Window().Seconds())
-}
-
-// SLOResult is the violation outcome at one SLO scale (Figure 13 last
-// column).
-type SLOResult struct {
-	Scale          float64
-	TTFTLimit      float64
-	TPOTLimit      float64
-	ViolationRatio float64
-}
-
-// SLOViolations computes, per scale, the fraction of requests whose TTFT or
-// TPOT exceeds scale x the reference P50 (the paper's definition: reference
-// is the best baseline's P50).
-func (c *Collector) SLOViolations(refP50TTFT, refP50TPOT float64, scales []float64) []SLOResult {
-	out := make([]SLOResult, 0, len(scales))
-	for _, scale := range scales {
-		tl, pl := scale*refP50TTFT, scale*refP50TPOT
-		viol := 0
-		for _, r := range c.Records {
-			if r.TTFT() > tl || (r.OutputTokens > 1 && r.TPOT() > pl) {
-				viol++
-			}
-		}
-		ratio := 0.0
-		if len(c.Records) > 0 {
-			ratio = float64(viol) / float64(len(c.Records))
-		}
-		out = append(out, SLOResult{Scale: scale, TTFTLimit: tl, TPOTLimit: pl, ViolationRatio: ratio})
-	}
-	return out
-}
-
-// BubbleTracker measures GPU idle ("bubble") time during pipelined
-// execution: the Figure 14 bottom panel. Busy intervals are reported by the
-// executor; everything else inside the tracked span is a bubble.
-//
-// Semantics: the tracked span is [Start's t, end], where end is the latest
-// time seen — the largest busy-interval endpoint or Stop time. The span
-// only grows: a Stop earlier than a recorded busy interval leaves the end
-// at that interval (the executor already proved the GPU was busy then),
-// and busy time outside the span is clamped away rather than counted.
-// Start must precede AddBusy and Stop; both panic otherwise — silently
-// dropping busy time would report phantom bubbles.
-type BubbleTracker struct {
-	started bool
-	start   sim.Time
-	busy    sim.Duration
-	end     sim.Time
-}
-
-// Start begins tracking at t, resetting any prior span.
-func (b *BubbleTracker) Start(t sim.Time) {
-	b.started = true
-	b.start = t
-	b.end = t
-	b.busy = 0
-}
-
-// AddBusy records a busy interval [from, to). The part before the span
-// start does not count (the tracker only measures its own span), and
-// degenerate intervals (to <= from after clamping) are ignored. Calling
-// AddBusy before Start panics.
-func (b *BubbleTracker) AddBusy(from, to sim.Time) {
-	if !b.started {
-		panic("metrics: BubbleTracker.AddBusy before Start")
-	}
-	if from < b.start {
-		from = b.start
-	}
-	if to <= from {
-		return
-	}
-	b.busy += to.Sub(from)
-	if to > b.end {
-		b.end = to
-	}
-}
-
-// Stop closes the tracked span at t. The span never shrinks: a t earlier
-// than the latest recorded busy interval (or earlier than Start) leaves
-// the end where the evidence already put it. Calling Stop before Start
-// panics.
-func (b *BubbleTracker) Stop(t sim.Time) {
-	if !b.started {
-		panic("metrics: BubbleTracker.Stop before Start")
-	}
-	if t > b.end {
-		b.end = t
-	}
-}
-
-// BubbleRatio returns idle fraction in [0,1] over the tracked span.
-func (b *BubbleTracker) BubbleRatio() float64 {
-	if !b.started {
-		return 0
-	}
-	span := b.end.Sub(b.start)
-	if span <= 0 {
-		return 0
-	}
-	busy := b.busy
-	if busy > span {
-		busy = span
-	}
-	return 1 - busy.Seconds()/span.Seconds()
 }

@@ -31,9 +31,6 @@ func TestDistBasics(t *testing.T) {
 	if got := d.Percentile(100); got != 5 {
 		t.Fatalf("p100 = %v", got)
 	}
-	if got := d.Max(); got != 5 {
-		t.Fatalf("max = %v", got)
-	}
 	if got := d.Percentile(0); got != 1 {
 		t.Fatalf("p0 = %v", got)
 	}
@@ -49,11 +46,8 @@ func TestDistEmptyEdgeCases(t *testing.T) {
 	if d.Percentile(0) != 0 || d.Percentile(50) != 0 || d.Percentile(100) != 0 {
 		t.Error("empty percentiles")
 	}
-	if d.Mean() != 0 || d.Max() != 0 {
-		t.Error("empty mean/max")
-	}
-	if d.ViolationRatio(0) != 0 || d.ViolationRatio(1e18) != 0 {
-		t.Error("empty violation ratio")
+	if d.Mean() != 0 {
+		t.Error("empty mean")
 	}
 }
 
@@ -146,20 +140,6 @@ func TestDistPercentileNearestRank(t *testing.T) {
 		if got := d.Percentile(c.p); got != c.want {
 			t.Errorf("p%v = %v, want %v", c.p, got, c.want)
 		}
-	}
-}
-
-func TestViolationRatio(t *testing.T) {
-	var d Dist
-	for i := 1; i <= 10; i++ {
-		d.Add(float64(i))
-	}
-	if got := d.ViolationRatio(7); got != 0.3 {
-		t.Fatalf("violation ratio = %v", got)
-	}
-	var empty Dist
-	if empty.ViolationRatio(1) != 0 {
-		t.Fatal("empty violation ratio")
 	}
 }
 
@@ -322,89 +302,6 @@ func TestCollectorEmptyThroughput(t *testing.T) {
 	}
 }
 
-func TestSLOViolations(t *testing.T) {
-	c := NewCollector(sim.Second)
-	// Ten requests: TTFTs 0.1..1.0s, all TPOT 10ms over 11 tokens.
-	for i := 1; i <= 10; i++ {
-		ttft := float64(i) * 0.1
-		c.Finish(RequestRecord{
-			ID:           i,
-			Arrival:      0,
-			FirstToken:   sim.FromSeconds(ttft),
-			Completed:    sim.FromSeconds(ttft + 0.1),
-			OutputTokens: 11,
-		})
-	}
-	// Reference P50: 0.1s TTFT, 50ms TPOT. Scale 5 -> limit 0.5s.
-	res := c.SLOViolations(0.1, 0.05, []float64{5, 10})
-	if len(res) != 2 {
-		t.Fatal("result count")
-	}
-	if res[0].TTFTLimit != 0.5 {
-		t.Fatalf("limit = %v", res[0].TTFTLimit)
-	}
-	// TTFT > 0.5: requests 6..10 -> 50%.
-	if res[0].ViolationRatio != 0.5 {
-		t.Fatalf("scale-5 violations = %v", res[0].ViolationRatio)
-	}
-	if res[1].ViolationRatio != 0 {
-		t.Fatalf("scale-10 violations = %v", res[1].ViolationRatio)
-	}
-}
-
-func TestSLOViolationsTPOTCounts(t *testing.T) {
-	c := NewCollector(sim.Second)
-	// Fast TTFT but terrible TPOT.
-	c.Finish(RequestRecord{
-		Arrival: 0, FirstToken: sim.FromSeconds(0.01),
-		Completed: sim.FromSeconds(10), OutputTokens: 11,
-	})
-	res := c.SLOViolations(0.1, 0.05, []float64{5})
-	if res[0].ViolationRatio != 1 {
-		t.Fatal("TPOT violation not counted")
-	}
-}
-
-func TestSLOViolationsEmpty(t *testing.T) {
-	c := NewCollector(sim.Second)
-	res := c.SLOViolations(0.1, 0.05, []float64{5})
-	if res[0].ViolationRatio != 0 {
-		t.Fatal("empty collector violations")
-	}
-}
-
-func TestBubbleTracker(t *testing.T) {
-	var b BubbleTracker
-	if b.BubbleRatio() != 0 {
-		t.Fatal("unstarted tracker")
-	}
-	b.Start(sim.FromSeconds(10))
-	b.AddBusy(sim.FromSeconds(10), sim.FromSeconds(13))
-	b.AddBusy(sim.FromSeconds(15), sim.FromSeconds(19))
-	b.Stop(sim.FromSeconds(20))
-	// busy 7s over span 10s -> 30% bubbles.
-	if got := b.BubbleRatio(); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("bubble ratio = %v", got)
-	}
-	// Degenerate intervals ignored.
-	b.AddBusy(sim.FromSeconds(19), sim.FromSeconds(19))
-	if got := b.BubbleRatio(); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("ratio moved on empty interval: %v", got)
-	}
-}
-
-func TestBubbleTrackerClampsOverBusy(t *testing.T) {
-	var b BubbleTracker
-	b.Start(0)
-	// Overlapping busy reports may exceed the span; ratio clamps at 0.
-	b.AddBusy(0, sim.FromSeconds(8))
-	b.AddBusy(0, sim.FromSeconds(8))
-	b.Stop(sim.FromSeconds(8))
-	if got := b.BubbleRatio(); got != 0 {
-		t.Fatalf("ratio = %v, want clamp to 0", got)
-	}
-}
-
 // Property: Percentile returns an element of the sample set and is monotone
 // in p.
 func TestPropertyPercentiles(t *testing.T) {
@@ -469,59 +366,6 @@ func TestStageWaits(t *testing.T) {
 	}
 }
 
-func TestBubbleTrackerPanicsBeforeStart(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s before Start did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("AddBusy", func() {
-		var b BubbleTracker
-		b.AddBusy(0, sim.FromSeconds(1))
-	})
-	mustPanic("Stop", func() {
-		var b BubbleTracker
-		b.Stop(sim.FromSeconds(1))
-	})
-}
-
-func TestBubbleTrackerClampsEarlyBusy(t *testing.T) {
-	var b BubbleTracker
-	b.Start(sim.FromSeconds(10))
-	// Busy time before the span start is clamped away: only [10,12) counts.
-	b.AddBusy(sim.FromSeconds(5), sim.FromSeconds(12))
-	b.Stop(sim.FromSeconds(20))
-	if got := b.BubbleRatio(); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("ratio = %v, want 0.8 (2s busy over 10s span)", got)
-	}
-	// An interval entirely before the span clamps to nothing at all.
-	b.AddBusy(0, sim.FromSeconds(10))
-	if got := b.BubbleRatio(); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("ratio moved on pre-span busy: %v", got)
-	}
-}
-
-func TestBubbleTrackerSpanNeverShrinks(t *testing.T) {
-	var b BubbleTracker
-	b.Start(0)
-	b.AddBusy(0, sim.FromSeconds(6))
-	// A Stop earlier than the latest busy evidence leaves the end at 6s:
-	// the executor already proved the GPU was busy then.
-	b.Stop(sim.FromSeconds(3))
-	if got := b.BubbleRatio(); got != 0 {
-		t.Fatalf("ratio = %v, want 0 over the [0,6s] span", got)
-	}
-	// A later Stop still extends it.
-	b.Stop(sim.FromSeconds(12))
-	if got := b.BubbleRatio(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("ratio = %v, want 0.5 over [0,12s]", got)
-	}
-}
-
 func TestReservoirDistBelowCapacityExact(t *testing.T) {
 	d := NewReservoirDist(100, 1)
 	for _, v := range []float64{3, 1, 2, 5, 4} {
@@ -531,8 +375,8 @@ func TestReservoirDistBelowCapacityExact(t *testing.T) {
 	if d.Count() != 5 || d.Retained() != 5 {
 		t.Fatalf("count/retained = %d/%d", d.Count(), d.Retained())
 	}
-	if d.Mean() != 3 || d.Percentile(50) != 3 || d.Max() != 5 {
-		t.Fatalf("stats = mean %v p50 %v max %v", d.Mean(), d.Percentile(50), d.Max())
+	if d.Mean() != 3 || d.Percentile(50) != 3 || d.Percentile(100) != 5 {
+		t.Fatalf("stats = mean %v p50 %v max %v", d.Mean(), d.Percentile(50), d.Percentile(100))
 	}
 }
 

@@ -45,39 +45,32 @@ type transfer struct {
 // Link is a unidirectional bandwidth resource (one instance's NIC egress).
 type Link struct {
 	simu      *sim.Simulation
-	name      string
 	bandwidth float64 // bytes per second
 	latency   sim.Duration
 	queues    [numPriorities][]transfer
 	busy      bool
 
-	// cur/curPri is the in-flight transfer; onDone its persistent
-	// completion callback (one per link), so steady-state sends schedule
-	// no closures.
+	// cur is the in-flight transfer; onDone its persistent completion
+	// callback (one per link), so steady-state sends schedule no closures.
 	cur    transfer
-	curPri Priority
 	onDone func()
 
 	// Stats.
-	bytesSent  int64
-	busySince  sim.Time
-	busyTotal  sim.Duration
-	sendsByPri [numPriorities]int64
+	bytesSent int64
+	busySince sim.Time
+	busyTotal sim.Duration
 }
 
 // NewLink creates a link with the given bandwidth (bytes/s) and fixed
 // per-transfer latency (propagation + rendezvous).
-func NewLink(s *sim.Simulation, name string, bandwidthBps float64, latency sim.Duration) *Link {
+func NewLink(s *sim.Simulation, bandwidthBps float64, latency sim.Duration) *Link {
 	if bandwidthBps <= 0 {
 		panic(fmt.Sprintf("network: bandwidth %v", bandwidthBps))
 	}
-	l := &Link{simu: s, name: name, bandwidth: bandwidthBps, latency: latency}
+	l := &Link{simu: s, bandwidth: bandwidthBps, latency: latency}
 	l.onDone = l.transferDone
 	return l
 }
-
-// Name returns the link's identifier.
-func (l *Link) Name() string { return l.name }
 
 // Bandwidth returns bytes/s.
 func (l *Link) Bandwidth() float64 { return l.bandwidth }
@@ -86,12 +79,6 @@ func (l *Link) Bandwidth() float64 { return l.bandwidth }
 func (l *Link) TransferTime(bytes int64) sim.Duration {
 	return l.latency + sim.DurationFromSeconds(float64(bytes)/l.bandwidth)
 }
-
-// Busy reports whether a transfer is in flight.
-func (l *Link) Busy() bool { return l.busy }
-
-// QueueLen returns the number of waiting transfers in the class.
-func (l *Link) QueueLen(p Priority) int { return len(l.queues[p]) }
 
 // BytesSent returns total payload bytes completed.
 func (l *Link) BytesSent() int64 { return l.bytesSent }
@@ -103,9 +90,6 @@ func (l *Link) BusyTime() sim.Duration {
 	}
 	return l.busyTotal
 }
-
-// Sends returns the number of completed transfers in the class.
-func (l *Link) Sends(p Priority) int64 { return l.sendsByPri[p] }
 
 // Send enqueues a transfer; done runs when the last byte arrives. Zero-byte
 // sends complete after the link latency only (they still serialize).
@@ -147,19 +131,17 @@ func (l *Link) pump() {
 	l.queues[pri] = q[:len(q)-1]
 	l.busy = true
 	l.cur = tr
-	l.curPri = pri
 	l.busySince = l.simu.Now()
 	l.simu.After(l.TransferTime(tr.bytes), "net", l.onDone)
 }
 
 // transferDone completes the in-flight transfer and pumps the next one.
 func (l *Link) transferDone() {
-	tr, pri := l.cur, l.curPri
+	tr := l.cur
 	l.cur = transfer{}
 	l.busy = false
 	l.busyTotal += l.simu.Now().Sub(l.busySince)
 	l.bytesSent += tr.bytes
-	l.sendsByPri[pri]++
 	if tr.bulk != nil {
 		tr.bulk.chunkLanded()
 	} else if tr.done != nil {
@@ -168,8 +150,8 @@ func (l *Link) transferDone() {
 	l.pump()
 }
 
-// BulkTransfer is a pausable chunked send used for KVCache exchange and
-// parameter restoration. Each chunk is a separate link transfer, so
+// BulkTransfer is a chunked send used for KVCache exchange and parameter
+// restoration. Each chunk is a separate link transfer, so
 // higher-priority traffic interleaves between chunks — the coordinated
 // transfer of §4.2.
 type BulkTransfer struct {
@@ -179,9 +161,6 @@ type BulkTransfer struct {
 	pri       Priority
 	label     string
 	done      func()
-	paused    bool
-	inflight  bool
-	cancelled bool
 
 	// curN is the in-flight chunk's size; the link dispatches chunk
 	// completion straight to chunkLanded, so long bulk streams schedule no
@@ -196,9 +175,7 @@ type BulkTransfer struct {
 }
 
 // SendChunked starts a chunked bulk transfer of totalBytes in chunkBytes
-// pieces. done fires once after the final chunk. The returned handle can
-// pause/resume the stream (used when the exchange engine detects imminent
-// activation transfers) or cancel it. Negative totals and non-positive
+// pieces. done fires once after the final chunk. Negative totals and non-positive
 // chunk sizes panic — a silently accepted bad chunk size would loop the
 // transfer forever, and negative bytes are always a caller's accounting
 // bug. A zero total is legal and completes after one zero-byte tail send
@@ -220,10 +197,6 @@ func (l *Link) SendChunked(totalBytes, chunkBytes int64, pri Priority, label str
 
 // chunkLanded completes the in-flight chunk and issues the next one.
 func (bt *BulkTransfer) chunkLanded() {
-	bt.inflight = false
-	if bt.cancelled {
-		return
-	}
 	bt.remaining -= bt.curN
 	if bt.OnChunk != nil {
 		bt.OnChunk(bt.curN)
@@ -231,33 +204,7 @@ func (bt *BulkTransfer) chunkLanded() {
 	bt.next()
 }
 
-// Remaining returns bytes not yet sent.
-func (bt *BulkTransfer) Remaining() int64 { return bt.remaining }
-
-// Done reports whether the transfer has fully completed.
-func (bt *BulkTransfer) Done() bool { return bt.remaining <= 0 && !bt.inflight }
-
-// Pause stops issuing new chunks after the in-flight one.
-func (bt *BulkTransfer) Pause() { bt.paused = true }
-
-// Resume continues a paused transfer.
-func (bt *BulkTransfer) Resume() {
-	if !bt.paused {
-		return
-	}
-	bt.paused = false
-	if !bt.inflight {
-		bt.next()
-	}
-}
-
-// Cancel abandons the remaining bytes; done never fires.
-func (bt *BulkTransfer) Cancel() { bt.cancelled = true }
-
 func (bt *BulkTransfer) next() {
-	if bt.cancelled || bt.paused || bt.inflight {
-		return
-	}
 	if bt.remaining <= 0 {
 		// Completion always goes through the link (a zero-byte tail
 		// send) so done never fires synchronously inside the caller —
@@ -274,7 +221,6 @@ func (bt *BulkTransfer) next() {
 	if n > bt.remaining {
 		n = bt.remaining
 	}
-	bt.inflight = true
 	bt.curN = n
 	bt.link.sendBulk(n, bt.pri, bt)
 }
@@ -289,7 +235,7 @@ type Fabric struct {
 func NewFabric(s *sim.Simulation, n int, bandwidthBps float64, latency sim.Duration) *Fabric {
 	f := &Fabric{simu: s}
 	for i := 0; i < n; i++ {
-		f.links = append(f.links, NewLink(s, fmt.Sprintf("egress-%d", i), bandwidthBps, latency))
+		f.links = append(f.links, NewLink(s, bandwidthBps, latency))
 	}
 	return f
 }

@@ -9,12 +9,12 @@ import (
 
 func newTestLink(s *sim.Simulation) *Link {
 	// 1 GB/s, zero latency: a 1 MB transfer takes exactly 1 ms.
-	return NewLink(s, "test", 1e9, 0)
+	return NewLink(s, 1e9, 0)
 }
 
 func TestTransferTime(t *testing.T) {
 	s := sim.New(1)
-	l := NewLink(s, "l", RDMA200, DefaultLatency)
+	l := NewLink(s, RDMA200, DefaultLatency)
 	// 1 GiB over 25 GB/s ≈ 43 ms.
 	d := l.TransferTime(1 << 30)
 	if d < 40*sim.Millisecond || d > 46*sim.Millisecond {
@@ -96,7 +96,7 @@ func TestParameterBetweenActivationAndBulk(t *testing.T) {
 
 func TestZeroByteSend(t *testing.T) {
 	s := sim.New(1)
-	l := NewLink(s, "l", 1e9, 3*sim.Microsecond)
+	l := NewLink(s, 1e9, 3*sim.Microsecond)
 	fired := false
 	l.Send(0, PriorityActivation, "z", func() { fired = true })
 	s.Run()
@@ -112,19 +112,29 @@ func TestBusyAndStats(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	l.Send(1_000_000, PriorityBulk, "x", nil)
-	if !l.Busy() {
-		t.Error("link not busy after send")
+	s.RunUntil(sim.FromSeconds(0.0005))
+	if l.BusyTime() != 500*sim.Microsecond {
+		t.Errorf("busy time mid-transfer = %v, want 500µs", l.BusyTime())
 	}
 	s.Run()
-	if l.Busy() {
-		t.Error("link busy after drain")
-	}
 	if l.BusyTime() != sim.Duration(sim.Millisecond) {
 		t.Errorf("busy time = %v, want 1ms", l.BusyTime())
 	}
-	if l.Sends(PriorityBulk) != 1 || l.Sends(PriorityActivation) != 0 {
-		t.Error("send counters wrong")
+	// An idle gap does not count as busy.
+	s.RunUntil(sim.FromSeconds(0.005))
+	if l.BusyTime() != sim.Duration(sim.Millisecond) {
+		t.Errorf("busy time after idle gap = %v, want 1ms", l.BusyTime())
 	}
+	if l.BytesSent() != 1_000_000 {
+		t.Errorf("bytes sent = %d", l.BytesSent())
+	}
+}
+
+// chunkLog records each landed chunk's size through OnChunk.
+func chunkLog(bt *BulkTransfer) *[]int64 {
+	var sizes []int64
+	bt.OnChunk = func(n int64) { sizes = append(sizes, n) }
+	return &sizes
 }
 
 func TestChunkedTransferCompletes(t *testing.T) {
@@ -132,19 +142,19 @@ func TestChunkedTransferCompletes(t *testing.T) {
 	l := newTestLink(s)
 	done := false
 	bt := l.SendChunked(10_000_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
+	chunks := chunkLog(bt)
 	s.Run()
-	if !done || !bt.Done() {
+	if !done {
 		t.Fatal("chunked transfer incomplete")
 	}
-	if bt.Remaining() != 0 {
-		t.Errorf("remaining = %d", bt.Remaining())
+	if l.BytesSent() != 10_000_000 {
+		t.Errorf("bytes = %d", l.BytesSent())
 	}
 	if s.Now() != sim.FromSeconds(0.01) {
 		t.Errorf("finished at %v, want 10ms", s.Now())
 	}
-	// 10 payload chunks plus the zero-byte completion send.
-	if l.Sends(PriorityBulk) != 11 {
-		t.Errorf("chunks sent = %d, want 11", l.Sends(PriorityBulk))
+	if len(*chunks) != 10 {
+		t.Errorf("chunks sent = %d, want 10", len(*chunks))
 	}
 }
 
@@ -180,7 +190,8 @@ func TestChunkedPartialLastChunk(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	done := false
-	l.SendChunked(1_500_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
+	bt := l.SendChunked(1_500_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
+	chunks := chunkLog(bt)
 	s.Run()
 	if !done {
 		t.Fatal("incomplete")
@@ -188,9 +199,8 @@ func TestChunkedPartialLastChunk(t *testing.T) {
 	if l.BytesSent() != 1_500_000 {
 		t.Errorf("bytes = %d", l.BytesSent())
 	}
-	// 2 payload chunks plus the zero-byte completion send.
-	if l.Sends(PriorityBulk) != 3 {
-		t.Errorf("chunks = %d, want 3", l.Sends(PriorityBulk))
+	if got := *chunks; len(got) != 2 || got[0] != 1_000_000 || got[1] != 500_000 {
+		t.Errorf("chunks = %v, want [1000000 500000]", got)
 	}
 }
 
@@ -198,147 +208,40 @@ func TestChunkedZeroBytesFiresAsynchronously(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	done := false
-	bt := l.SendChunked(0, 1024, PriorityBulk, "kv", func() { done = true })
+	l.SendChunked(0, 1024, PriorityBulk, "kv", func() { done = true })
 	if done {
 		t.Fatal("zero-byte chunked transfer completed synchronously (re-entrancy hazard)")
 	}
 	s.Run()
-	if !done || !bt.Done() {
+	if !done {
 		t.Fatal("zero-byte chunked transfer never completed")
 	}
 }
 
-func TestPauseResume(t *testing.T) {
-	s := sim.New(1)
-	l := newTestLink(s)
-	done := false
-	bt := l.SendChunked(5_000_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
-	s.At(sim.FromSeconds(0.0025), "pause", func() { bt.Pause() })
-	s.RunUntil(sim.FromSeconds(0.1))
-	if done {
-		t.Fatal("paused transfer completed")
-	}
-	// In-flight chunk (the 3rd) finishes; the rest wait.
-	if bt.Remaining() != 2_000_000 {
-		t.Errorf("remaining = %d, want 2000000", bt.Remaining())
-	}
-	bt.Resume()
-	bt.Resume() // double resume is a no-op
-	s.Run()
-	if !done {
-		t.Fatal("resumed transfer never completed")
-	}
-}
-
-// Pausing while a chunk is in flight lets that chunk land but issues
-// nothing more; Remaining/Done stay consistent at every step, and a
-// paused-mid-chunk transfer resumes exactly where it stopped.
-func TestPauseMidChunkInFlight(t *testing.T) {
-	s := sim.New(1)
-	l := newTestLink(s)
-	done := false
-	bt := l.SendChunked(4_000_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
-	// t=1.5ms: chunk 2 is mid-flight (chunks land at 1, 2, 3, 4 ms).
-	s.At(sim.FromSeconds(0.0015), "pause", func() {
-		bt.Pause()
-		if bt.Done() {
-			t.Error("in-flight transfer reports Done")
-		}
-		// Chunk 1 landed; chunk 2 still counts as remaining until it
-		// completes.
-		if bt.Remaining() != 3_000_000 {
-			t.Errorf("remaining at pause = %d", bt.Remaining())
-		}
-	})
-	s.RunUntil(sim.FromSeconds(0.1))
-	if done {
-		t.Fatal("paused transfer completed")
-	}
-	// The in-flight chunk was allowed to finish; nothing after it was.
-	if bt.Remaining() != 2_000_000 {
-		t.Errorf("remaining after drain = %d, want 2000000", bt.Remaining())
-	}
-	if bt.Done() {
-		t.Error("paused transfer reports Done")
-	}
-	if l.BytesSent() != 2_000_000 {
-		t.Errorf("bytes on wire = %d, want 2000000", l.BytesSent())
-	}
-	bt.Resume()
-	s.Run()
-	if !done || !bt.Done() || bt.Remaining() != 0 {
-		t.Fatalf("resume did not finish: done=%v Done=%v remaining=%d",
-			done, bt.Done(), bt.Remaining())
-	}
-	if l.BytesSent() != 4_000_000 {
-		t.Errorf("total bytes = %d", l.BytesSent())
-	}
-}
-
-// Pause and Resume on an already-done transfer are no-ops: done fires
-// exactly once and the terminal Remaining/Done state never regresses.
-func TestResumeAfterDoneIsNoOp(t *testing.T) {
-	s := sim.New(1)
-	l := newTestLink(s)
-	fired := 0
-	bt := l.SendChunked(2_000_000, 1_000_000, PriorityBulk, "kv", func() { fired++ })
-	s.Run()
-	if fired != 1 || !bt.Done() || bt.Remaining() != 0 {
-		t.Fatalf("fired=%d Done=%v remaining=%d", fired, bt.Done(), bt.Remaining())
-	}
-	bt.Pause()
-	bt.Resume()
-	bt.Resume()
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("done fired %d times after post-completion resume", fired)
-	}
-	if !bt.Done() || bt.Remaining() != 0 {
-		t.Error("terminal state regressed")
-	}
-	if l.BytesSent() != 2_000_000 {
-		t.Errorf("bytes = %d", l.BytesSent())
-	}
-}
-
-// Remaining is non-increasing chunk by chunk and Done flips only at zero:
-// the invariant every handoff/exchange caller leans on.
+// The bytes still owed shrink chunk by chunk and done fires exactly once,
+// only after they reach zero: the invariant every handoff/exchange caller
+// leans on.
 func TestRemainingDoneInvariants(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
-	bt := l.SendChunked(3_500_000, 1_000_000, PriorityBulk, "kv", nil)
-	last := bt.Remaining()
-	if last != 3_500_000 {
-		t.Fatalf("initial remaining = %d", last)
-	}
-	for s.Step() {
-		rem := bt.Remaining()
-		if rem > last {
-			t.Fatalf("remaining grew: %d -> %d", last, rem)
+	const total, chunk = 3_500_000, 1_000_000
+	remaining := int64(total)
+	fired := 0
+	bt := l.SendChunked(total, chunk, PriorityBulk, "kv", func() {
+		fired++
+		if remaining != 0 {
+			t.Errorf("done fired with %d bytes remaining", remaining)
 		}
-		if bt.Done() && rem > 0 {
-			t.Fatalf("Done with %d remaining", rem)
+	})
+	bt.OnChunk = func(n int64) {
+		if n <= 0 || n > chunk || n > remaining {
+			t.Errorf("chunk of %d bytes with %d remaining", n, remaining)
 		}
-		last = rem
+		remaining -= n
 	}
-	if !bt.Done() || bt.Remaining() != 0 {
-		t.Fatalf("final state: Done=%v remaining=%d", bt.Done(), bt.Remaining())
-	}
-}
-
-func TestCancelStopsChunks(t *testing.T) {
-	s := sim.New(1)
-	l := newTestLink(s)
-	done := false
-	bt := l.SendChunked(10_000_000, 1_000_000, PriorityBulk, "kv", func() { done = true })
-	s.At(sim.FromSeconds(0.0035), "cancel", func() { bt.Cancel() })
 	s.Run()
-	if done {
-		t.Fatal("cancelled transfer fired done")
-	}
-	// 4 chunks entered the link (3 complete + the in-flight 4th).
-	if l.BytesSent() != 4_000_000 {
-		t.Errorf("bytes = %d, want 4000000", l.BytesSent())
+	if fired != 1 || remaining != 0 {
+		t.Fatalf("done fired %d times, %d bytes remaining", fired, remaining)
 	}
 }
 
@@ -348,8 +251,8 @@ func TestFabric(t *testing.T) {
 	if f.Size() != 4 {
 		t.Fatal("size")
 	}
-	if f.Egress(2).Name() != "egress-2" {
-		t.Fatal("egress naming")
+	if f.Egress(2) == f.Egress(1) {
+		t.Fatal("instances share an egress link")
 	}
 	// Links are independent: parallel sends overlap.
 	var doneAt [2]sim.Time
@@ -365,7 +268,7 @@ func TestPanics(t *testing.T) {
 	s := sim.New(1)
 	l := newTestLink(s)
 	cases := []func(){
-		func() { NewLink(s, "x", 0, 0) },
+		func() { NewLink(s, 0, 0) },
 		func() { l.Send(-1, PriorityBulk, "x", nil) },
 		func() { l.Send(1, Priority(99), "x", nil) },
 		func() { l.SendChunked(10, 0, PriorityBulk, "x", nil) },

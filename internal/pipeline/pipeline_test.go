@@ -20,12 +20,12 @@ func twoStage(s *sim.Simulation) *Engine {
 		{
 			InstanceID: 0,
 			Timer:      gpu.NewTimer(gpu.A800(), half, 1),
-			Egress:     network.NewLink(s, "e0", network.RDMA200, network.DefaultLatency),
+			Egress:     network.NewLink(s, network.RDMA200, network.DefaultLatency),
 		},
 		{
 			InstanceID: 1,
 			Timer:      gpu.NewTimer(gpu.A800(), half, 1),
-			Egress:     network.NewLink(s, "e1", network.RDMA200, network.DefaultLatency),
+			Egress:     network.NewLink(s, network.RDMA200, network.DefaultLatency),
 		},
 	}
 	return New(s, stages, int64(cfg.HiddenDim)*2)

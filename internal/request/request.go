@@ -246,15 +246,6 @@ func (r *Request) ContextLen() int {
 // processed: prompt plus all but the final generated token.
 func (r *Request) TotalTokens() int { return r.InputLen + r.OutputLen - 1 }
 
-// RemainingOutput returns output tokens still to be generated.
-func (r *Request) RemainingOutput() int {
-	rem := r.OutputLen - r.Generated
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
 // Done reports whether all output tokens have been emitted.
 func (r *Request) Done() bool { return r.Generated >= r.OutputLen }
 

@@ -24,8 +24,8 @@ func TestNewRequest(t *testing.T) {
 	if r.TotalTokens() != 109 {
 		t.Fatalf("TotalTokens = %d", r.TotalTokens())
 	}
-	if r.RemainingOutput() != 10 {
-		t.Fatalf("RemainingOutput = %d", r.RemainingOutput())
+	if r.OutputLen-r.Generated != 10 {
+		t.Fatalf("remaining output = %d", r.OutputLen-r.Generated)
 	}
 }
 

@@ -52,9 +52,9 @@ var traceArena sync.Map // TraceKey -> *traceEntry
 // SharedTrace returns the arena's trace for key, building it with build on
 // first use. The returned trace is shared and MUST be treated as immutable:
 // every cell of every run set holding it reads the same backing array.
-// Callers that need to mutate a shared trace take a private copy first
-// (workload.Trace.Clone, or a copying transform like workload.RepeatBurst /
-// workload.Upscale). CheckTraceArena catches violations.
+// Callers that need a mutated variant derive it with a copying transform
+// (workload.Upscale, RepeatBurst or Merge). CheckTraceArena catches
+// violations.
 func SharedTrace(key TraceKey, build func() (*workload.Trace, error)) (*workload.Trace, error) {
 	e, _ := traceArena.LoadOrStore(key, &traceEntry{})
 	entry := e.(*traceEntry)

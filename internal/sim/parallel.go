@@ -10,7 +10,7 @@ import (
 // Deterministic intra-run parallelism. The simulated world still commits on
 // exactly one goroutine, in exactly the sequential (time, sequence) order —
 // what fans out across cores is only the *pure* per-component plan hooks of
-// events that share a firing instant (see Event.plan and AfterPlanned). The
+// events that share a firing instant (see event.plan and AfterPlanned). The
 // batched loop below pops a whole same-instant cohort, joins all its plan
 // hooks, and only then fires the callbacks in order, so byte-identity with
 // the sequential path holds at any worker count.
@@ -105,31 +105,13 @@ func (s *Simulation) stepBatch() {
 	}
 	for i, e := range batch {
 		batch[i] = nil
-		if s.stopped {
-			// Stop() fired mid-batch: push the unfired remainder back with
-			// their original sequence numbers (restoring the heap exactly),
-			// matching the sequential loop's stop-between-events behavior.
-			// Events already cancelled within this batch just get recycled.
-			if e.fn != nil || e.fnArg != nil {
-				s.push(e)
-			} else {
-				s.recycle(e)
-			}
-			continue
-		}
 		fn, fnArg, arg := e.fn, e.fnArg, e.arg
 		s.recycle(e)
-		switch {
-		case fn != nil:
-			s.Processed++
+		s.Processed++
+		if fn != nil {
 			fn()
-		case fnArg != nil:
-			s.Processed++
+		} else {
 			fnArg(arg)
-		default:
-			// Cancelled by an earlier callback in this batch (see Cancel's
-			// in-batch branch): recycled without firing or counting, same
-			// as a sequential-mode heap removal.
 		}
 	}
 	s.batch = batch[:0]

@@ -62,59 +62,6 @@ func TestBatchedPlansRunBeforeCallbacks(t *testing.T) {
 	s.Run()
 }
 
-// TestCancelWithinBatch cancels a later cohort member from an earlier
-// callback: the cancelled event must not fire, not count as processed, and
-// its slot must recycle safely.
-func TestCancelWithinBatch(t *testing.T) {
-	s := New(1)
-	s.SetParallel(2)
-	var h Handle
-	fired := false
-	s.After(Millisecond, "canceller", func() { s.Cancel(h) })
-	h = s.After(Millisecond, "victim", func() { fired = true })
-	s.After(Millisecond, "tail", func() {})
-	s.Run()
-	if fired {
-		t.Fatal("cancelled same-instant event fired")
-	}
-	if s.Processed != 2 {
-		t.Fatalf("Processed = %d, want 2 (canceller + tail)", s.Processed)
-	}
-	// The recycled slot must be reusable without ghost-firing.
-	refired := false
-	s.After(Millisecond, "reuse", func() { refired = true })
-	s.Run()
-	if !refired {
-		t.Fatal("recycled slot lost its event")
-	}
-}
-
-// TestStopWithinBatch stops the run from the middle of a cohort: exactly
-// what fired, what stayed pending, and the processed count must match the
-// sequential kernel (where Stop halts between events and the rest stay
-// queued).
-func TestStopWithinBatch(t *testing.T) {
-	run := func(parallel int) (order []int, pending int, processed uint64) {
-		s := New(1)
-		s.SetParallel(parallel)
-		s.After(Millisecond, "a", func() { order = append(order, 0); s.Stop() })
-		s.After(Millisecond, "b", func() { order = append(order, 1) })
-		s.After(Millisecond, "c", func() { order = append(order, 2) })
-		s.Run()
-		return order, s.Pending(), s.Processed
-	}
-	seqOrder, seqPending, seqProcessed := run(1)
-	parOrder, parPending, parProcessed := run(2)
-	if len(seqOrder) != 1 || seqOrder[0] != 0 || seqPending != 2 {
-		t.Fatalf("sequential stop semantics changed: order %v pending %d", seqOrder, seqPending)
-	}
-	if len(parOrder) != len(seqOrder) || parOrder[0] != seqOrder[0] ||
-		parPending != seqPending || parProcessed != seqProcessed {
-		t.Fatalf("batched stop diverges: order %v pending %d processed %d (sequential %v/%d/%d)",
-			parOrder, parPending, parProcessed, seqOrder, seqPending, seqProcessed)
-	}
-}
-
 // TestFanoutPanicPropagates re-panics a worker panic on the caller with the
 // hook's stack attached.
 func TestFanoutPanicPropagates(t *testing.T) {

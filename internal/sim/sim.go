@@ -5,18 +5,13 @@ import (
 	"math/rand"
 )
 
-// Event is a scheduled callback. The callback runs with the simulation clock
+// event is a scheduled callback. The callback runs with the simulation clock
 // set to the event's firing time. Event structs are pooled: once an event
-// fires or is cancelled, its struct is recycled for a later schedule. Code
-// outside this package never holds a *Event — scheduling returns a Handle
-// whose generation counter detects recycled structs, so a stale Cancel can
-// never kill an unrelated event that happens to reuse the same memory.
-type Event struct {
-	at    Time
-	seq   uint64
-	index int // heap index, -1 when not queued
-	gen   uint64
-	fn    func()
+// fires, its struct is recycled for a later schedule.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 	// fnArg/arg are the AtCall form: one persistent callback shared by many
 	// events, parameterized per event. Exactly one of fn/fnArg is set.
 	fnArg func(arg any)
@@ -31,41 +26,19 @@ type Event struct {
 	label string
 }
 
-// Handle identifies one scheduled event. The zero Handle is valid and refers
-// to no event. Handles stay safe after the event fires or is cancelled: the
-// underlying struct's generation moves on, and the handle observes that.
-type Handle struct {
-	e   *Event
-	gen uint64
-}
-
-// Pending reports whether the event is still queued: it has not fired, been
-// cancelled, or had its struct recycled for a newer event.
-func (h Handle) Pending() bool { return h.e != nil && h.e.gen == h.gen }
-
-// At returns the virtual time the event is scheduled to fire, or zero when
-// the handle is no longer pending.
-func (h Handle) At() Time {
-	if !h.Pending() {
-		return 0
-	}
-	return h.e.at
-}
-
 // Simulation is a deterministic discrete-event simulator. It is not safe for
 // concurrent use; the entire simulated world runs on one goroutine.
 type Simulation struct {
-	now     Time
-	queue   []*Event // binary min-heap ordered by (time, sequence)
-	free    []*Event // recycled event structs awaiting reuse
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
+	now   Time
+	queue []*event // binary min-heap ordered by (time, sequence)
+	free  []*event // recycled event structs awaiting reuse
+	seq   uint64
+	rng   *rand.Rand
 	// parallel bounds the worker fan-out for same-instant plan hooks; <= 1
 	// keeps the kernel on the plain sequential Step path. batch and plans
 	// are the batched loop's reusable scratch.
 	parallel int
-	batch    []*Event
+	batch    []*event
 	plans    []func()
 	// Processed counts events that have fired (for diagnostics and the
 	// kernel throughput benchmark).
@@ -86,44 +59,46 @@ func (s *Simulation) Rand() *rand.Rand { return s.rng }
 
 // At schedules fn to run at time t. Scheduling in the past panics: that is
 // always a logic error in a discrete-event model.
-func (s *Simulation) At(t Time, label string, fn func()) Handle {
-	e := s.schedule(t, label)
-	e.fn = fn
-	return Handle{e: e, gen: e.gen}
+func (s *Simulation) At(t Time, label string, fn func()) {
+	s.schedule(t, label).fn = fn
 }
 
 // AtCall schedules fn(arg) at time t. It is the allocation-free fan-out
 // form of At: one persistent fn closure shared across many events plus a
 // per-event arg replaces a fresh closure per schedule (converting a
 // pointer-typed arg to any does not allocate).
-func (s *Simulation) AtCall(t Time, label string, fn func(arg any), arg any) Handle {
+func (s *Simulation) AtCall(t Time, label string, fn func(arg any), arg any) {
 	e := s.schedule(t, label)
 	e.fnArg = fn
 	e.arg = arg
-	return Handle{e: e, gen: e.gen}
 }
 
 // AfterCall schedules fn(arg) to run d after the current time.
-func (s *Simulation) AfterCall(d Duration, label string, fn func(arg any), arg any) Handle {
+func (s *Simulation) AfterCall(d Duration, label string, fn func(arg any), arg any) {
+	s.AtCall(s.after(d, label), label, fn, arg)
+}
+
+// after returns the firing time d from now; a negative delay panics.
+func (s *Simulation) after(d Duration, label string) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, label))
 	}
-	return s.AtCall(s.now.Add(d), label, fn, arg)
+	return s.now.Add(d)
 }
 
 // schedule acquires and enqueues an event struct at time t; the caller
 // fills in the callback.
-func (s *Simulation) schedule(t Time, label string) *Event {
+func (s *Simulation) schedule(t Time, label string) *event {
 	if t.Before(s.now) {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, s.now))
 	}
-	var e *Event
+	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = &Event{}
+		e = &event{}
 	}
 	e.at = t
 	e.seq = s.seq
@@ -134,11 +109,8 @@ func (s *Simulation) schedule(t Time, label string) *Event {
 }
 
 // After schedules fn to run d after the current time.
-func (s *Simulation) After(d Duration, label string, fn func()) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for %q", d, label))
-	}
-	return s.At(s.now.Add(d), label, fn)
+func (s *Simulation) After(d Duration, label string, fn func()) {
+	s.At(s.after(d, label), label, fn)
 }
 
 // AfterPlanned schedules fn like After, with a plan hook attached. When the
@@ -147,55 +119,22 @@ func (s *Simulation) After(d Duration, label string, fn func()) Handle {
 // commit; in sequential mode plan is ignored entirely. fn must produce
 // byte-identical results whether or not plan ran — plans are an optimization,
 // never a semantic step.
-func (s *Simulation) AfterPlanned(d Duration, label string, plan, fn func()) Handle {
-	h := s.After(d, label, fn)
-	h.e.plan = plan
-	return h
+func (s *Simulation) AfterPlanned(d Duration, label string, plan, fn func()) {
+	e := s.schedule(s.after(d, label), label)
+	e.fn = fn
+	e.plan = plan
 }
 
-// Cancel removes a pending event. Cancelling an already-fired,
-// already-cancelled, or zero handle is a no-op: the generation check makes
-// stale handles harmless even after the event struct is recycled.
-func (s *Simulation) Cancel(h Handle) {
-	if !h.Pending() {
-		return
-	}
-	if h.e.index < 0 {
-		// The event was popped into the current same-instant batch but has
-		// not fired yet (parallel mode only — in sequential mode a popped
-		// event is recycled, and hence non-pending, before its callback
-		// runs). Neutralize it in place; the batch loop recycles the struct
-		// without firing, matching what a heap removal would have produced.
-		h.e.gen++
-		h.e.fn = nil
-		h.e.fnArg = nil
-		h.e.arg = nil
-		h.e.plan = nil
-		return
-	}
-	s.remove(h.e.index)
-	s.recycle(h.e)
-}
-
-// recycle retires an event struct to the free list. Bumping the generation
-// invalidates every outstanding handle to it; dropping fn releases the
-// captured closure for the collector.
-func (s *Simulation) recycle(e *Event) {
-	e.gen++
+// recycle retires an event struct to the free list; dropping fn releases
+// the captured closure for the collector.
+func (s *Simulation) recycle(e *event) {
 	e.fn = nil
 	e.fnArg = nil
 	e.arg = nil
 	e.plan = nil
 	e.label = ""
-	e.index = -1
 	s.free = append(s.free, e)
 }
-
-// Stop halts the run loop after the current event completes.
-func (s *Simulation) Stop() { s.stopped = true }
-
-// Pending returns the number of events waiting in the queue.
-func (s *Simulation) Pending() int { return len(s.queue) }
 
 // NextEventTime returns the firing time of the earliest pending event; ok
 // is false when the queue is empty. Between the current instant and that
@@ -209,9 +148,9 @@ func (s *Simulation) NextEventTime() (t Time, ok bool) {
 }
 
 // Step fires the next event, advancing the clock. It returns false when the
-// queue is empty or the simulation was stopped.
+// queue is empty.
 func (s *Simulation) Step() bool {
-	if s.stopped || len(s.queue) == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
 	e := s.popMin()
@@ -222,8 +161,7 @@ func (s *Simulation) Step() bool {
 	s.Processed++
 	fn, fnArg, arg := e.fn, e.fnArg, e.arg
 	// Recycle before running: fn may schedule new events, and the freshly
-	// retired struct is first in line for reuse. Handles to the fired
-	// event are already stale by the time user code runs.
+	// retired struct is first in line for reuse.
 	s.recycle(e)
 	if fn != nil {
 		fn()
@@ -233,10 +171,10 @@ func (s *Simulation) Step() bool {
 	return true
 }
 
-// Run processes events until the queue drains or Stop is called.
+// Run processes events until the queue drains.
 func (s *Simulation) Run() {
 	if s.parallel > 1 {
-		for !s.stopped && len(s.queue) > 0 {
+		for len(s.queue) > 0 {
 			s.stepBatch()
 		}
 		return
@@ -249,11 +187,11 @@ func (s *Simulation) Run() {
 // at the later of its current value and the deadline.
 func (s *Simulation) RunUntil(deadline Time) {
 	if s.parallel > 1 {
-		for !s.stopped && len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
+		for len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
 			s.stepBatch()
 		}
 	} else {
-		for !s.stopped && len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
+		for len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
 			s.Step()
 		}
 	}
@@ -269,51 +207,29 @@ func (s *Simulation) RunUntil(deadline Time) {
 // interface dispatch of heap.Push/heap.Pop on the hottest path in the
 // simulator.
 
-func (s *Simulation) eventLess(a, b *Event) bool {
+func (s *Simulation) eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at.Before(b.at)
 	}
 	return a.seq < b.seq
 }
 
-func (s *Simulation) push(e *Event) {
-	e.index = len(s.queue)
+func (s *Simulation) push(e *event) {
 	s.queue = append(s.queue, e)
-	s.siftUp(e.index)
+	s.siftUp(len(s.queue) - 1)
 }
 
-func (s *Simulation) popMin() *Event {
+func (s *Simulation) popMin() *event {
 	q := s.queue
 	e := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[0].index = 0
 	q[n] = nil
 	s.queue = q[:n]
 	if n > 0 {
 		s.siftDown(0)
 	}
-	e.index = -1
 	return e
-}
-
-// remove deletes the event at heap index i, preserving heap order.
-func (s *Simulation) remove(i int) {
-	q := s.queue
-	n := len(q) - 1
-	e := q[i]
-	if i != n {
-		q[i] = q[n]
-		q[i].index = i
-	}
-	q[n] = nil
-	s.queue = q[:n]
-	if i != n {
-		if !s.siftDown(i) {
-			s.siftUp(i)
-		}
-	}
-	e.index = -1
 }
 
 func (s *Simulation) siftUp(i int) {
@@ -325,20 +241,16 @@ func (s *Simulation) siftUp(i int) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].index = i
 		i = parent
 	}
 	q[i] = e
-	e.index = i
 }
 
-// siftDown restores heap order below index i, reporting whether the element
-// moved (the signal remove uses to decide whether to sift up instead).
-func (s *Simulation) siftDown(i int) bool {
+// siftDown restores heap order below index i.
+func (s *Simulation) siftDown(i int) {
 	q := s.queue
 	n := len(q)
 	e := q[i]
-	start := i
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -351,10 +263,7 @@ func (s *Simulation) siftDown(i int) bool {
 			break
 		}
 		q[i] = q[child]
-		q[i].index = i
 		i = child
 	}
 	q[i] = e
-	e.index = i
-	return i > start
 }

@@ -40,9 +40,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Before reports whether t is strictly earlier than u.
 func (t Time) Before(u Time) bool { return t < u }
 
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string {
 	return fmt.Sprintf("%.3fs", t.Seconds())
