@@ -36,8 +36,9 @@
 // stage-level queueing (prefill wait, KV transfer, decode wait); -exp scale
 // runs the cluster-scale streaming sweep (a fleet ladder up to -instances,
 // default 512, each serving an hour-class diurnal trace in bounded-memory
-// mode). None of the four is part of "all" so that "all" output stays
-// comparable across versions. -stream runs any experiment in bounded-memory
+// mode). An explicit -instances below 4 for disagg or 2 for scale exits 2.
+// None of the four is part of "all" so that "all" output stays comparable
+// across versions. -stream runs any experiment in bounded-memory
 // streaming mode: the collector keeps reservoir samples instead of every
 // record and arrivals enter the event queue lazily, so memory scales with
 // live requests rather than trace length (percentiles become reservoir
@@ -113,7 +114,6 @@ func main() {
 		duration  = flag.Float64("duration", 0, "override trace duration in seconds")
 		load      = flag.Float64("load", 0, "load multiplier on the derived base RPS")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS); results are identical at any setting")
-		intracell = flag.Int("intracell-parallel", 0, "worker goroutines inside each simulation fanning out same-instant group round planning (0/1 = sequential); results are identical at any setting")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON summaries instead of paper-style text")
 		sweepFlag = flag.String("sweep", "", "run a parameter sweep key=lo:hi:step (keys: "+strings.Join(experiments.SweepKeys, ", ")+") over the five systems")
 		specFile  = flag.String("spec", "", "workload spec JSON driving the experiment trace")
@@ -141,9 +141,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -exp %q (valid: %s)\n", *exp, strings.Join(validExps, ", "))
 		os.Exit(2)
 	}
-	if err := checkNumericFlags(*instances, *parallel, *intracell, *duration, *load); err != nil {
+	if err := checkNumericFlags(*instances, *parallel, *duration, *load); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if *sweepFlag == "" {
+		if err := checkInstances(*exp, *instances); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 
 	cfg := experiments.Quick()
@@ -178,7 +184,6 @@ func main() {
 		cfg.LoadMultiplier = *load
 	}
 	cfg.Parallel = *parallel
-	cfg.IntraCellParallel = *intracell
 	cfg.Stream = *stream
 	cfg.Router = *router
 	cfg.Queue = *queue
@@ -294,17 +299,33 @@ func main() {
 // checkNumericFlags rejects negative or non-finite numeric overrides. Zero
 // keeps meaning "use the default"; anything else that cannot be a count, a
 // duration or a multiplier is an error rather than a silent fallback.
-func checkNumericFlags(instances, parallel, intracell int, duration, load float64) error {
+func checkNumericFlags(instances, parallel int, duration, load float64) error {
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{
 		{"instances", float64(instances)}, {"parallel", float64(parallel)},
-		{"intracell-parallel", float64(intracell)}, {"duration", duration}, {"load", load},
+		{"duration", duration}, {"load", load},
 	} {
 		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("-%s %v: must be a finite, non-negative number", f.name, f.v)
 		}
+	}
+	return nil
+}
+
+// minInstances holds the experiments that need more than one instance.
+var minInstances = map[string]int{
+	"disagg": experiments.DisaggMinInstances,
+	"scale":  experiments.ScaleMinInstances,
+}
+
+// checkInstances rejects an explicit -instances below the experiment's
+// minimum. Zero (the default) passes: the experiment raises its default
+// count to the minimum itself.
+func checkInstances(exp string, instances int) error {
+	if need := minInstances[exp]; instances > 0 && instances < need {
+		return fmt.Errorf("-exp %s needs -instances >= %d (got %d)", exp, need, instances)
 	}
 	return nil
 }

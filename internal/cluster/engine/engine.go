@@ -23,7 +23,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"kunserve/internal/batching"
 	"kunserve/internal/kvcache"
@@ -218,28 +217,9 @@ type Engine struct {
 	// finishFn is the launch-stage completion closure, built once so a
 	// round launch allocates nothing.
 	finishFn func()
-	// version counts mutations of the state the plan phase reads (running
-	// membership, request states, prefill/decode progress, queue pushes).
-	// PlanRound stamps its speculative output with the version it read;
-	// startRound consumes the plan only when the stamp still matches, so a
-	// mutation between plan and commit — an admission, a preemption, a
-	// policy drop — silently falls back to the sequential recompute and
-	// byte-identity is preserved by construction.
-	version uint64
-	// plan is the engine-owned speculative round scratch. planBusy
-	// serializes concurrent PlanRound calls for the same engine (two
-	// same-instant retry events can both carry this engine's plan hook);
-	// all other engine state stays single-writer.
-	plan     roundPlan
-	planBusy atomic.Int32
-	// planHits/planMisses count consumed vs discarded plans (tests pin the
-	// parallel path to a nonzero hit rate so the layer cannot silently die).
-	planHits   uint64
-	planMisses uint64
-	// wakeFn/planFn are persistent method-value closures for planned retry
+	// wakeFn is the persistent method-value closure for pressure-retry
 	// events (one allocation at construction, none per blocked round).
 	wakeFn func()
-	planFn func()
 
 	// demandTokens holds DemandTokens' value incrementally: every queue
 	// push/pop and running add/remove applies the joining or leaving
@@ -279,7 +259,6 @@ func New(opts Options) *Engine {
 	e.stages = stagesFor(e.role)
 	e.finishFn = func() { e.finishRound(e.rd.items) }
 	e.wakeFn = e.Wake
-	e.planFn = e.PlanRound
 	return e
 }
 
@@ -292,7 +271,6 @@ func (e *Engine) SetRole(role Role) error {
 	if len(e.running) > 0 || e.queue.Len() > 0 || e.executing {
 		return fmt.Errorf("engine: group %d role change with requests in flight", e.groupID)
 	}
-	e.mutated()
 	e.role = role
 	e.stages = stagesFor(role)
 	if e.cb.MembershipChanged != nil {
@@ -313,21 +291,6 @@ type round struct {
 	prefills []*request.Request
 	items    []batching.Item
 	hadWork  bool
-	// fromPlan marks that a still-valid speculative plan supplies this
-	// round's collect and form output (runForm swaps the plan's items in
-	// instead of recomputing them).
-	fromPlan bool
-}
-
-// roundPlan is PlanRound's output: the collect and form results computed
-// speculatively against the engine state at version. valid is cleared the
-// moment startRound inspects the plan — a plan feeds at most one round.
-type roundPlan struct {
-	version  uint64
-	valid    bool
-	decodes  []*request.Request
-	prefills []*request.Request
-	items    []batching.Item
 }
 
 var (
@@ -389,12 +352,6 @@ func (e *Engine) RunningLen() int { return len(e.running) }
 // RoundsRun returns completed scheduling rounds (diagnostics).
 func (e *Engine) RoundsRun() int { return e.roundsRun }
 
-// mutated bumps the plan-visibility version. Every entry point that changes
-// state the plan phase reads (or that a commit-side stage reads, like the
-// wait queue) must call it — an over-broad bump only costs a discarded plan,
-// a missing one would cost correctness.
-func (e *Engine) mutated() { e.version++ }
-
 // demandAdd is the single mutation point for demandTokens; the first delta
 // since the last AckLoadNotify raises the edge-triggered LoadChanged so the
 // cluster's incremental totals and the dispatch index stay in lockstep with
@@ -417,7 +374,6 @@ func (e *Engine) AckLoadNotify() { e.loadNotified = false }
 
 // Enqueue adds a request to the wait queue under the group's discipline.
 func (e *Engine) Enqueue(r *request.Request) {
-	e.mutated()
 	r.GroupID = e.groupID
 	e.demandAdd(r.PrefillTarget())
 	e.stampQueued(r)
@@ -429,7 +385,6 @@ func (e *Engine) Enqueue(r *request.Request) {
 // EnqueueFront re-queues a preempted request ahead of new arrivals (FCFS
 // places it literally first; ordered disciplines fold it into their order).
 func (e *Engine) EnqueueFront(r *request.Request) {
-	e.mutated()
 	r.GroupID = e.groupID
 	e.demandAdd(r.PrefillTarget())
 	e.stampQueued(r)
@@ -469,7 +424,6 @@ func (e *Engine) Wake() {
 // KVCache exchange, or handoff in flight) after moving it to the given
 // state.
 func (e *Engine) Stall(r *request.Request, st request.State) {
-	e.mutated()
 	r.SetState(st)
 	e.stalled[r.ID] = r
 	e.rt.Transition(e.simu.Now(), r.ID, st.String(), e.groupID)
@@ -480,7 +434,6 @@ func (e *Engine) Unstall(r *request.Request) {
 	if _, ok := e.stalled[r.ID]; !ok {
 		panic(fmt.Sprintf("engine: unstall of non-stalled request %d", r.ID))
 	}
-	e.mutated()
 	delete(e.stalled, r.ID)
 	r.SetState(request.StateRunning)
 	if r.InPrefill() {
@@ -494,7 +447,6 @@ func (e *Engine) Unstall(r *request.Request) {
 // RestoreStalled re-registers a transplanted request's stall bookkeeping
 // without touching its state (it already carries a stalled state).
 func (e *Engine) RestoreStalled(r *request.Request) {
-	e.mutated()
 	e.stalled[r.ID] = r
 }
 
@@ -583,7 +535,6 @@ func byArrivalID(a, b *request.Request) int {
 }
 
 func (e *Engine) addRunning(r *request.Request) {
-	e.mutated()
 	e.demandAdd(committedTokens(r))
 	e.running = append(e.running, r)
 	i, _ := slices.BinarySearchFunc(e.sortedRunning, r, byArrivalID)
@@ -591,7 +542,6 @@ func (e *Engine) addRunning(r *request.Request) {
 }
 
 func (e *Engine) removeRunning(r *request.Request) {
-	e.mutated()
 	e.demandAdd(-committedTokens(r))
 	if i, ok := slices.BinarySearchFunc(e.sortedRunning, r, byArrivalID); ok {
 		e.sortedRunning = slices.Delete(e.sortedRunning, i, i+1)
@@ -628,7 +578,6 @@ func committedTokens(r *request.Request) int {
 // (reconfiguration transplants the waiting queue that way to preserve
 // queue-entry stamps).
 func (e *Engine) AccountQueuedDemand(r *request.Request) {
-	e.mutated()
 	e.demandAdd(r.PrefillTarget())
 }
 
@@ -663,7 +612,6 @@ func (e *Engine) runAdmit(*round) bool {
 		r := e.queue.Peek()
 		if r.Done() {
 			// Finished elsewhere (shouldn't happen) — drop defensively.
-			e.mutated()
 			e.queue.Pop()
 			e.demandAdd(-r.PrefillTarget())
 			delete(e.queuedAt, r.ID)
@@ -711,13 +659,13 @@ func (e *Engine) runAdmit(*round) bool {
 	return true
 }
 
-// collectInto appends the schedulable running requests to the decode and
-// prefill halves, excluding stalled ones, keeping only the halves the role
-// serves. Order is deterministic: by arrival, then ID. The sequential
-// collect stage and the speculative PlanRound share this exact code path —
-// given identical state, a consumed plan is byte-identical to a fresh
-// collect by construction, not by convention.
-func (e *Engine) collectInto(decodes, prefills []*request.Request) ([]*request.Request, []*request.Request) {
+// runCollect fills the round's decode and prefill halves with the
+// schedulable running requests, excluding stalled ones, keeping only the
+// halves the role serves. Order is deterministic: by arrival, then ID.
+func (e *Engine) runCollect(rd *round) bool {
+	// Append to locals so the loop does not store the slice headers back
+	// into rd on every append.
+	decodes, prefills := rd.decodes, rd.prefills
 	// sortedRunning already carries the (Arrival, ID) order, so collection
 	// is a single filtered walk: no per-round sort, no intermediate buffer.
 	for _, r := range e.sortedRunning {
@@ -744,88 +692,25 @@ func (e *Engine) collectInto(decodes, prefills []*request.Request) ([]*request.R
 				e.groupID, r.ID))
 		}
 	}
-	return decodes, prefills
+	rd.decodes, rd.prefills = decodes, prefills
+	return true
 }
 
-// formInto packs one iteration batch from the collected halves into dst.
-// Each pipeline microbatch carries a full token budget (vLLM gives every
+// runForm packs one iteration batch from the collected halves. Each
+// pipeline microbatch carries a full token budget (vLLM gives every
 // in-flight virtual engine max_num_batched_tokens), so the iteration budget
-// scales with pipeline depth. Shared by runForm and PlanRound; it must not
-// touch curStamp — only the committing round advances the stamp.
-func (e *Engine) formInto(dst []batching.Item, decodes, prefills []*request.Request) []batching.Item {
+// scales with pipeline depth.
+func (e *Engine) runForm(rd *round) bool {
 	budget := e.budget
 	budget.MaxTokens *= e.depth
 	if budget.MaxSeqs > 0 {
 		budget.MaxSeqs *= e.depth
 	}
-	return batching.AppendIteration(dst[:0], decodes, prefills, budget)
-}
-
-// runCollect fills the round's decode and prefill halves, consuming a
-// still-valid speculative plan when one exists. A version mismatch —
-// anything mutated since the plan was computed — discards the plan and
-// recomputes sequentially; either way the round's output is identical.
-func (e *Engine) runCollect(rd *round) bool {
-	if e.plan.valid {
-		ok := e.plan.version == e.version
-		e.plan.valid = false
-		if ok {
-			// The round skips straight to the plan's formed items in
-			// runForm; the collected halves exist only to feed the form
-			// stage, so nothing copies them into rd.
-			rd.fromPlan = true
-			e.planHits++
-			return true
-		}
-		e.planMisses++
-	}
-	rd.decodes, rd.prefills = e.collectInto(rd.decodes, rd.prefills)
-	return true
-}
-
-// runForm packs the round's iteration batch, or swaps in the plan's
-// precomputed one.
-func (e *Engine) runForm(rd *round) bool {
-	if rd.fromPlan {
-		// Swap scratch slices instead of copying: the plan's items become
-		// the round's, and the round's previous backing array becomes the
-		// next plan's scratch.
-		rd.items, e.plan.items = e.plan.items, rd.items[:0]
-	} else {
-		rd.items = e.formInto(rd.items, rd.decodes, rd.prefills)
-	}
+	rd.items = batching.AppendIteration(rd.items[:0], rd.decodes, rd.prefills, budget)
 	e.curStamp++
 	rd.hadWork = len(rd.items) > 0
 	return true
 }
-
-// PlanRound speculatively runs the pure collect and form stages against the
-// engine's current state, stashing the result for the next startRound. It
-// mutates nothing outside the engine's own plan scratch, so plan hooks for
-// *different* engines run concurrently on the simulation's worker pool
-// (sim.Fanout) while every commit stays on the simulation goroutine in
-// event order. Safe to call at any instant: if the next round admits,
-// preempts, or otherwise mutates first, the version stamp no longer
-// matches and the plan is discarded unused.
-func (e *Engine) PlanRound() {
-	if e.executing || e.scheduling || e.closed || e.draining {
-		return
-	}
-	if !e.planBusy.CompareAndSwap(0, 1) {
-		return
-	}
-	defer e.planBusy.Store(0)
-	p := &e.plan
-	p.valid = false
-	p.decodes, p.prefills = e.collectInto(p.decodes[:0], p.prefills[:0])
-	p.items = e.formInto(p.items, p.decodes, p.prefills)
-	p.version = e.version
-	p.valid = true
-}
-
-// PlanStats reports consumed and discarded speculative plans (tests pin the
-// parallel path to a nonzero hit rate).
-func (e *Engine) PlanStats() (hits, misses uint64) { return e.planHits, e.planMisses }
 
 // runReserve allocates blocks for each item's new tokens, consulting the
 // policy under pressure. Items that still cannot fit are dropped from this
@@ -888,11 +773,8 @@ func (e *Engine) runLaunch(rd *round) bool {
 			// could not free anything synchronously; retry after
 			// Config.RetryRoundDelay (asynchronous relief — swap-out
 			// completion, a migration, a drop — will land in the
-			// meantime). The retry carries the engine's plan hook: blocked
-			// rounds synchronize on the retry delay, so under overload many
-			// groups retry at the same instant and their collect+form work
-			// fans out across cores before the ordered commits.
-			e.simu.AfterPlanned(e.retryDelay, "retry-round", e.planFn, e.wakeFn)
+			// meantime).
+			e.simu.After(e.retryDelay, "retry-round", e.wakeFn)
 		}
 		e.fireDrainedIfIdle()
 		return false
@@ -938,7 +820,6 @@ func (e *Engine) startRound() {
 	rd.prefills = rd.prefills[:0]
 	rd.items = rd.items[:0]
 	rd.hadWork = false
-	rd.fromPlan = false
 	for _, st := range e.stages {
 		ok := st.run(e, rd)
 		if e.tr != nil {
@@ -959,8 +840,6 @@ func (e *Engine) startRound() {
 }
 
 func (e *Engine) finishRound(items []batching.Item) {
-	// Advancing prefill/decode progress changes every plan input at once.
-	e.mutated()
 	now := e.simu.Now()
 	tokens := 0
 	for _, it := range items {
@@ -1074,7 +953,6 @@ func (e *Engine) ExtractRequests() (running, waiting []*request.Request, stalled
 	if e.executing {
 		panic(fmt.Sprintf("engine: extracting from executing group %d", e.groupID))
 	}
-	e.mutated()
 	running, stalled = e.running, e.stalled
 	e.demandAdd(-e.demandTokens)
 	for e.queue.Len() > 0 {

@@ -33,10 +33,6 @@ type Group struct {
 	pool      *kvcache.Pool
 	exec      *engine.Engine
 
-	// planFn is the engine's PlanRound as a persistent closure, so the
-	// monitor's per-tick plan fan-out allocates nothing.
-	planFn func()
-
 	// idxDirty marks the group as queued on the cluster's dirty list for
 	// a demand fold and index key refresh (set by the first load/capacity
 	// change since the last sync, cleared by the flush). inActive mirrors
@@ -133,7 +129,6 @@ func newGroup(id int, cl *Cluster, insts []*instance.Instance) (*Group, error) {
 			MembershipChanged: cl.invalidateActive,
 		},
 	})
-	g.planFn = g.exec.PlanRound
 	return g, nil
 }
 
@@ -205,9 +200,10 @@ func (g *Group) RunningLen() int { return g.exec.RunningLen() }
 // RoundsRun returns completed scheduling rounds (diagnostics only).
 func (g *Group) RoundsRun() int { return g.exec.RoundsRun() }
 
-// PlanStats reports how many speculative round plans the engine consumed
-// (hits) versus discarded after input mutation (misses). Diagnostics only.
-func (g *Group) PlanStats() (hits, misses uint64) { return g.exec.PlanStats() }
+// PlanStats always reports zero hits and misses: rounds are no longer
+// planned speculatively. It remains for callers that still report the
+// plan hit rate (perfbench), which reads as absent when both are zero.
+func (g *Group) PlanStats() (hits, misses uint64) { return 0, 0 }
 
 // Enqueue adds a request to the wait queue under the group's discipline.
 func (g *Group) Enqueue(r *request.Request) { g.exec.Enqueue(r) }

@@ -15,8 +15,7 @@ import (
 // newLookaheadFormer adapts the lookahead former to the cluster interface.
 // Evaluation goes through the shared per-model lookup table: it returns
 // the exact bits a direct evaluation would and, being immutable, is safe
-// for the speculative plan fan-out of parallel rounds, where one policy's
-// Former runs on several planning goroutines at once.
+// to share across cells running concurrently under -parallel.
 func newLookaheadFormer(m *costmodel.Model, minTokens int) cluster.Former {
 	return &lookahead.Former{Model: m, MinTokens: minTokens, Table: costmodel.ForModel(m)}
 }

@@ -27,8 +27,8 @@ type Former struct {
 	// MinTokens floors microbatch size; <= 0 uses DefaultMinTokens.
 	MinTokens int
 	// Table, when set, evaluates Eq. 1 through the shared per-model
-	// lookup table (costmodel.ForModel). It is immutable and safe for the
-	// concurrent speculative planning of parallel rounds; it returns
+	// lookup table (costmodel.ForModel). It is immutable, so the cells
+	// that share it under -parallel may read it concurrently; it returns
 	// bit-identical values, so results are unchanged.
 	Table *costmodel.Table
 }

@@ -256,12 +256,12 @@ func TestCachedFormerIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedFormerConcurrentForm is the audit test for plan-time fan-out:
-// one Former — the policy-owned instance every group of a cluster shares —
-// forming microbatches from many goroutines at once, the way intra-cell
-// parallel round planning drives it. With the immutable cost-model Table
-// this is race-free and every goroutine gets bit-identical splits (run with
-// -race to enforce). The sequential result is the oracle.
+// TestSharedFormerConcurrentForm forms microbatches from many goroutines
+// through one Table-backed Former. Cells running concurrently under
+// -parallel share one immutable cost-model Table through the registry
+// (costmodel.ForModel), so concurrent reads of it must be race-free and
+// return bit-identical splits (run with -race to enforce). The sequential
+// result is the oracle.
 func TestSharedFormerConcurrentForm(t *testing.T) {
 	f, _ := fittedFormer(t)
 	f.Table = costmodel.ForModel(f.Model)

@@ -9,8 +9,8 @@ import (
 // Table is a precomputed lookup view of one fitted Model, built once per
 // model and shared read-only across every group and cell that serves it —
 // the §4.3 polynomial is evaluated millions of times per simulated hour,
-// and under intra-cell parallelism the evaluations run on concurrent
-// planning goroutines, so the shared state must be immutable.
+// and cells running concurrently under -parallel read the same table
+// through the registry, so the shared state must be immutable.
 //
 // The table is exact: Eq. 1 factorizes into a prefix×chunk cross
 // term plus two one-dimensional functions of the chunk length, so the

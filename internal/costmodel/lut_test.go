@@ -65,8 +65,8 @@ func TestForModelShared(t *testing.T) {
 }
 
 // TestForModelConcurrent hammers the registry and a shared table from many
-// goroutines; run under -race it pins the lock-free read contract that the
-// parallel plan fan-out depends on.
+// goroutines; run under -race it pins the lock-free read contract that
+// concurrently running cells depend on.
 func TestForModelConcurrent(t *testing.T) {
 	m := &Model{Alpha: 3e-8, Beta: 5e-6, Gamma: 8e-4, Lambda: 2e-4}
 	var wg sync.WaitGroup

@@ -23,9 +23,13 @@ type DisaggSplit struct {
 
 func (s DisaggSplit) String() string { return fmt.Sprintf("%dP:%dD", s.Prefill, s.Decode) }
 
+// DisaggMinInstances is the smallest fleet that expresses three distinct
+// prefill:decode splits.
+const DisaggMinInstances = 4
+
 // DisaggSplits derives the swept splits for an instance count: prefill-
-// light, balanced, and prefill-heavy. Needs at least 4 instances for three
-// distinct splits.
+// light, balanced, and prefill-heavy. Needs at least DisaggMinInstances
+// instances for three distinct splits.
 func DisaggSplits(instances int) []DisaggSplit {
 	out := []DisaggSplit{
 		{1, instances - 1},
@@ -99,8 +103,8 @@ func (r *DisaggResult) Row(system string, load float64) *DisaggRow {
 // collocated vLLM (DP) and KunServe baselines. Disaggregated cells route
 // new prompts with the queue-depth router (decode groups are not dispatch
 // candidates; their work arrives by KV handoff); baselines keep the
-// config's router. Fewer than 4 instances cannot express three distinct
-// splits, so the experiment raises the instance count to 4 in that case.
+// config's router. A smaller instance count is raised to
+// DisaggMinInstances.
 func ExperimentDisagg(cfg Config) (*DisaggResult, error) {
 	// The load axis scales the derived burst trace's rate; a workload
 	// spec carries its own rates, which would leave the sweep inert and
@@ -108,8 +112,8 @@ func ExperimentDisagg(cfg Config) (*DisaggResult, error) {
 	// own workloads (the CLI notes that -spec is ignored here).
 	cfg.WorkloadSpec = nil
 	cfg = cfg.withDefaults()
-	if cfg.Instances < 4 {
-		cfg.Instances = 4
+	if cfg.Instances < DisaggMinInstances {
+		cfg.Instances = DisaggMinInstances
 	}
 	if err := cfg.ValidateSched(); err != nil {
 		return nil, err

@@ -73,8 +73,6 @@ type ScaleRungTiming struct {
 type ScaleTiming struct {
 	// Workers is the cell-level worker bound the sweep executed with.
 	Workers int
-	// IntraCellParallel is the per-simulation plan fan-out bound.
-	IntraCellParallel int
 	// GOMAXPROCS/NumCPU record the host the numbers were measured on.
 	GOMAXPROCS int
 	NumCPU     int
@@ -98,16 +96,19 @@ type ScaleResult struct {
 	Timing *ScaleTiming `json:"Timing,omitempty"`
 }
 
+// ScaleMinInstances is the smallest rung of the scale ladder.
+const ScaleMinInstances = 2
+
 // scaleLadder derives the fleet ladder from the target size: quarter, half,
-// and full fleet, deduplicated, never below 2 instances.
+// and full fleet, deduplicated, never below ScaleMinInstances.
 func scaleLadder(target int) []int {
-	if target < 2 {
-		target = 2
+	if target < ScaleMinInstances {
+		target = ScaleMinInstances
 	}
 	var ladder []int
 	for _, n := range []int{target / 4, target / 2, target} {
-		if n < 2 {
-			n = 2
+		if n < ScaleMinInstances {
+			n = ScaleMinInstances
 		}
 		if len(ladder) == 0 || ladder[len(ladder)-1] != n {
 			ladder = append(ladder, n)
@@ -175,10 +176,9 @@ func ExperimentScale(cfg Config) (*ScaleResult, error) {
 		return nil, err
 	}
 	timing := &ScaleTiming{
-		Workers:           set.Parallel(),
-		IntraCellParallel: cfg.IntraCellParallel,
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		NumCPU:            runtime.NumCPU(),
+		Workers:    set.Parallel(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
 	i := 0
 	for ri := range res.Rungs {
@@ -228,8 +228,8 @@ func PrintExperimentScale(w io.Writer, r *ScaleResult) {
 	fmt.Fprintf(w, "trace length %v, bounded metrics (reservoir %d), lazy arrivals\n",
 		r.Duration, runner.DefaultReservoir)
 	if t := r.Timing; t != nil {
-		fmt.Fprintf(w, "workers %d (intra-cell %d) on GOMAXPROCS %d / %d CPUs | total wall %.1fs | heap %.0f MB / sys %.0f MB\n",
-			t.Workers, t.IntraCellParallel, t.GOMAXPROCS, t.NumCPU, t.TotalWallSeconds,
+		fmt.Fprintf(w, "workers %d on GOMAXPROCS %d / %d CPUs | total wall %.1fs | heap %.0f MB / sys %.0f MB\n",
+			t.Workers, t.GOMAXPROCS, t.NumCPU, t.TotalWallSeconds,
 			t.HeapInuseMB, t.SysMB)
 	}
 	for _, rung := range r.Rungs {

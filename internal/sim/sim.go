@@ -16,13 +16,6 @@ type event struct {
 	// events, parameterized per event. Exactly one of fn/fnArg is set.
 	fnArg func(arg any)
 	arg   any
-	// plan is an optional pure pre-computation hook. It never runs in
-	// sequential mode; with SetParallel(n>1) the batched run loop fans out
-	// the plan hooks of all events sharing a firing instant before any of
-	// their callbacks commit. Plans must not mutate simulation-visible
-	// state — they exist to warm per-component scratch (see
-	// engine.PlanRound) so the ordered commits find the work precomputed.
-	plan  func()
 	label string
 }
 
@@ -34,12 +27,6 @@ type Simulation struct {
 	free  []*event // recycled event structs awaiting reuse
 	seq   uint64
 	rng   *rand.Rand
-	// parallel bounds the worker fan-out for same-instant plan hooks; <= 1
-	// keeps the kernel on the plain sequential Step path. batch and plans
-	// are the batched loop's reusable scratch.
-	parallel int
-	batch    []*event
-	plans    []func()
 	// Processed counts events that have fired (for diagnostics and the
 	// kernel throughput benchmark).
 	Processed uint64
@@ -113,25 +100,12 @@ func (s *Simulation) After(d Duration, label string, fn func()) {
 	s.At(s.after(d, label), label, fn)
 }
 
-// AfterPlanned schedules fn like After, with a plan hook attached. When the
-// simulation runs with parallelism enabled, plan hooks of all events firing
-// at the same instant run concurrently before any of those events' callbacks
-// commit; in sequential mode plan is ignored entirely. fn must produce
-// byte-identical results whether or not plan ran — plans are an optimization,
-// never a semantic step.
-func (s *Simulation) AfterPlanned(d Duration, label string, plan, fn func()) {
-	e := s.schedule(s.after(d, label), label)
-	e.fn = fn
-	e.plan = plan
-}
-
 // recycle retires an event struct to the free list; dropping fn releases
 // the captured closure for the collector.
 func (s *Simulation) recycle(e *event) {
 	e.fn = nil
 	e.fnArg = nil
 	e.arg = nil
-	e.plan = nil
 	e.label = ""
 	s.free = append(s.free, e)
 }
@@ -173,12 +147,6 @@ func (s *Simulation) Step() bool {
 
 // Run processes events until the queue drains.
 func (s *Simulation) Run() {
-	if s.parallel > 1 {
-		for len(s.queue) > 0 {
-			s.stepBatch()
-		}
-		return
-	}
 	for s.Step() {
 	}
 }
@@ -186,14 +154,8 @@ func (s *Simulation) Run() {
 // RunUntil processes events with firing time <= deadline. The clock is left
 // at the later of its current value and the deadline.
 func (s *Simulation) RunUntil(deadline Time) {
-	if s.parallel > 1 {
-		for len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
-			s.stepBatch()
-		}
-	} else {
-		for len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
-			s.Step()
-		}
+	for len(s.queue) > 0 && !deadline.Before(s.queue[0].at) {
+		s.Step()
 	}
 	if s.now.Before(deadline) {
 		s.now = deadline

@@ -186,29 +186,42 @@ func TestAllocsSteadyStateScheduleFire(t *testing.T) {
 }
 
 // Property: events scheduled at random times, with many ties, fire in
-// strict (time, schedule sequence) order — sequentially and through the
-// batched same-instant loop alike.
+// strict (time, schedule sequence) order. Half the events schedule a
+// same-instant follow-up from their callback; a follow-up carries a later
+// sequence number, so it must fire after every event already queued for
+// that instant.
 func TestPropertyPopOrder(t *testing.T) {
 	f := func(offsets []uint8) bool {
-		for _, parallel := range []int{1, 4} {
-			s := New(3)
-			s.SetParallel(parallel)
-			var fired []int
-			for i, off := range offsets {
-				i := i
-				// Offsets mod 8 force ties between most events.
-				s.AfterPlanned(Duration(off%8)*Millisecond, "p", func() {}, func() { fired = append(fired, i) })
-			}
-			s.Run()
-			if len(fired) != len(offsets) {
-				return false
-			}
-			for k := 1; k < len(fired); k++ {
-				a, b := fired[k-1], fired[k]
-				ta, tb := offsets[a]%8, offsets[b]%8
-				if ta > tb || (ta == tb && a > b) {
-					return false
+		s := New(3)
+		type fire struct {
+			at  Time
+			seq int
+		}
+		var fired []fire
+		next := 0
+		var schedule func(d Duration, followUp bool)
+		schedule = func(d Duration, followUp bool) {
+			seq := next
+			next++
+			s.After(d, "p", func() {
+				fired = append(fired, fire{s.Now(), seq})
+				if followUp {
+					schedule(0, false)
 				}
+			})
+		}
+		for i, off := range offsets {
+			// Offsets mod 8 force ties between most events.
+			schedule(Duration(off%8)*Millisecond, i%2 == 0)
+		}
+		s.Run()
+		if len(fired) != len(offsets)+(len(offsets)+1)/2 {
+			return false
+		}
+		for k := 1; k < len(fired); k++ {
+			a, b := fired[k-1], fired[k]
+			if a.at > b.at || (a.at == b.at && a.seq > b.seq) {
+				return false
 			}
 		}
 		return true
