@@ -122,7 +122,7 @@ func main() {
 		scanDisp  = flag.Bool("scan-dispatch", false, "force the dispatcher onto the full candidate scan instead of the incremental router index (the determinism oracle; results are identical either way)")
 		stream    = flag.Bool("stream", false, "bounded-memory streaming mode: reservoir percentiles and lazy arrivals (always on for -exp scale)")
 		prefixOn  = flag.Bool("prefix-caching", false, "enable content-addressed KVCache prefix sharing (default off; off reproduces the identity-free allocator byte-for-byte)")
-		evict     = flag.String("cache-evict", "", "cached-block eviction policy: lru (default), fifo; only meaningful with -prefix-caching")
+		evict     = flag.String("cache-evict", "", "cached-block eviction policy: lru (default), fifo; requires -prefix-caching")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of every simulation to this file (load it at ui.perfetto.dev)")
 		cpuProf   = flag.String("cpuprofile", "", "write a Go CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a Go heap profile after the run to this file")
@@ -212,6 +212,10 @@ func main() {
 	}
 	if *exp == "slo" && *queue != "" {
 		fmt.Fprintln(os.Stderr, "note: -exp slo compares every discipline (fcfs, priority, edf); -queue is ignored there")
+	}
+	if *evict != "" && !*prefixOn && *exp != "prefix" {
+		fmt.Fprintln(os.Stderr, "-cache-evict needs -prefix-caching (eviction applies only to cached prefix blocks)")
+		os.Exit(2)
 	}
 	if *exp == "prefix" && (*prefixOn || *evict != "") {
 		fmt.Fprintln(os.Stderr, "note: -exp prefix compares every cache policy (off, lru, fifo); -prefix-caching/-cache-evict are ignored there")

@@ -66,6 +66,7 @@ func TestBadNumericFlagExitsTwo(t *testing.T) {
 		{"-exp fig2 -load -1", "-load"},
 		{"-exp disagg -instances 1", ">= 4"},
 		{"-exp scale -instances 1", ">= 2"},
+		{"-exp fig2 -cache-evict fifo", "-prefix-caching"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadNumericFlagExitsTwo$")
 		cmd.Env = append(os.Environ(), "KUNSERVE_SIM_MAIN=1", "KUNSERVE_SIM_ARGS="+c.args)

@@ -10,7 +10,6 @@ package cluster
 import (
 	"fmt"
 
-	"kunserve/internal/batching"
 	"kunserve/internal/gpu"
 	"kunserve/internal/instance"
 	"kunserve/internal/kvcache"
@@ -32,25 +31,6 @@ type Config struct {
 	Instances int
 	// NetBandwidth is the per-instance egress bandwidth in bytes/s.
 	NetBandwidth float64
-	// BlockTokens is the KV block size (the paper tunes vLLM to 64).
-	BlockTokens int
-	// Budget bounds each iteration batch.
-	Budget batching.Budget
-	// MonitorInterval is the global monitor's sampling period.
-	MonitorInterval sim.Duration
-	// MonitorDense forces the monitor onto its fixed cadence: one tick
-	// every MonitorInterval regardless of policy quiescence. By default
-	// the monitor re-arms adaptively — when the policy reports quiescence
-	// (TickQuiescent) and no tracer is attached, ticks that provably
-	// cannot observe or cause any change (no event fires before them) are
-	// skipped, their demand samples backfilled with the unchanged value,
-	// and the next real tick lands on the same MonitorInterval grid. The
-	// skip is a pure host-time optimization: simulation output is
-	// byte-identical either way. A tracer implies dense ticks (its
-	// per-tick counter events are part of the trace contract).
-	MonitorDense bool
-	// MetricsWindow is the time-series bin width.
-	MetricsWindow sim.Duration
 	// KVProvisionBytes caps each instance's KVCache region (0 = all free
 	// HBM); the paper provisions KVCache relative to average demand.
 	KVProvisionBytes int64
@@ -107,40 +87,24 @@ type Config struct {
 	// lets keyed routers (least-loaded, least-kv, queue-depth) dispatch
 	// from the incremental index in O(log n).
 	ScanDispatch bool
-	// RetryRoundDelay is how long a group sleeps before retrying a
-	// scheduling round in which memory pressure blocked every batch item
-	// and the policy freed nothing synchronously (default 10 ms).
-	//
-	// Determinism note: the delay is simulated time, so any fixed value
-	// is fully reproducible — but it participates in event ordering.
-	// Changing it reorders retry wakes against swap completions,
-	// migrations, and drops, and thereby changes results; treat it as
-	// part of the experiment configuration, not a free tuning knob.
-	RetryRoundDelay sim.Duration
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.NetBandwidth == 0 {
-		out.NetBandwidth = network.RDMA200
-	}
-	if out.BlockTokens == 0 {
-		out.BlockTokens = 64
-	}
-	if out.Budget.MaxTokens == 0 {
-		out.Budget = batching.DefaultBudget()
-	}
-	if out.MonitorInterval == 0 {
-		out.MonitorInterval = sim.Second
-	}
-	if out.MetricsWindow == 0 {
-		out.MetricsWindow = 4 * sim.Second
-	}
-	if out.RetryRoundDelay == 0 {
-		out.RetryRoundDelay = 10 * sim.Millisecond
-	}
-	return out
-}
+// Fixed serving parameters every experiment shares.
+const (
+	// blockTokens is the KV block size (the paper tunes vLLM to 64).
+	blockTokens = 64
+	// monitorInterval is the global monitor's sampling period.
+	monitorInterval = sim.Second
+	// metricsWindow is the collector's time-series bin width.
+	metricsWindow = 4 * sim.Second
+	// retryRoundDelay is how long a group sleeps before retrying a
+	// scheduling round in which memory pressure blocked every batch item
+	// and the policy freed nothing synchronously. It is simulated time
+	// and participates in event ordering: changing it reorders retry
+	// wakes against swap completions, migrations and drops, and thereby
+	// changes results.
+	retryRoundDelay = 10 * sim.Millisecond
+)
 
 // Cluster is one serving deployment under one policy.
 type Cluster struct {
@@ -156,15 +120,11 @@ type Cluster struct {
 	// with (possibly empty); summaries compute attainment against it.
 	SLOClasses sched.ClassTargets
 
-	BlockTokens int
-	Budget      batching.Budget
-
 	// PrefixCaching mirrors the config switch; groups enable sharing on
 	// their pools when it is set.
 	PrefixCaching bool
 
-	cacheEvict      kvcache.EvictPolicy
-	retryRoundDelay sim.Duration
+	cacheEvict kvcache.EvictPolicy
 
 	router        sched.Router
 	newDiscipline func() sched.Discipline
@@ -186,16 +146,8 @@ type Cluster struct {
 	groups      []*Group
 	nextGroupID int
 
-	monitorInterval sim.Duration
-	monitorDense    bool
-	// horizon is the Serve deadline; the adaptive monitor backfills up to
-	// it when the event queue drains before the simulation does.
-	horizon        sim.Time
 	outstanding    int
 	horizonReached bool
-	// monitorSkipped counts adaptively skipped (backfilled) ticks
-	// (diagnostics and tests; never part of results).
-	monitorSkipped int
 
 	// Dispatch failures (no live group) are recorded here instead of
 	// crashing the run; the runner surfaces them per cell.
@@ -239,16 +191,14 @@ type Cluster struct {
 	// whole run instead of one per arrival / per monitor tick).
 	admitFn func(arg any)
 	tickFn  func()
-
-	// HostParamReplica reflects §4.4 fault tolerance: parameters are
-	// replicated in host DRAM so restoration always succeeds.
-	HostParamReplica bool
 }
 
 // New builds the cluster and runs the policy's Setup to form initial
 // groups.
 func New(cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
+	if cfg.NetBandwidth == 0 {
+		cfg.NetBandwidth = network.RDMA200
+	}
 	if cfg.Model == nil || cfg.GPU == nil {
 		return nil, fmt.Errorf("cluster: nil model or GPU spec")
 	}
@@ -263,25 +213,19 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		Sim:              sim.New(cfg.Seed),
-		Model:            cfg.Model,
-		GPU:              cfg.GPU,
-		Policy:           cfg.Policy,
-		SLOClasses:       cfg.SLOClasses,
-		BlockTokens:      cfg.BlockTokens,
-		Budget:           cfg.Budget,
-		PrefixCaching:    cfg.PrefixCaching,
-		cacheEvict:       evict,
-		retryRoundDelay:  cfg.RetryRoundDelay,
-		monitorInterval:  cfg.MonitorInterval,
-		monitorDense:     cfg.MonitorDense,
-		Collector:        metrics.NewCollector(cfg.MetricsWindow),
-		HostParamReplica: true,
-		router:           sched.NewLeastLoaded(),
-		newDiscipline:    sched.NewFCFS,
-		tracer:           cfg.Tracer,
-		reqTrack:         obs.NewReqTracker(cfg.Tracer),
-		lazyArrivals:     cfg.LazyArrivals,
+		Sim:           sim.New(cfg.Seed),
+		Model:         cfg.Model,
+		GPU:           cfg.GPU,
+		Policy:        cfg.Policy,
+		SLOClasses:    cfg.SLOClasses,
+		PrefixCaching: cfg.PrefixCaching,
+		cacheEvict:    evict,
+		Collector:     metrics.NewCollector(metricsWindow),
+		router:        sched.NewLeastLoaded(),
+		newDiscipline: sched.NewFCFS,
+		tracer:        cfg.Tracer,
+		reqTrack:      obs.NewReqTracker(cfg.Tracer),
+		lazyArrivals:  cfg.LazyArrivals,
 	}
 	c.admitFn = func(arg any) { c.admitArrival(arg.(*workload.Request)) }
 	c.tickFn = c.monitorTick
@@ -615,9 +559,9 @@ func (c *Cluster) Err() error {
 	return c.dispatchErr
 }
 
-// MonitorSkipped returns how many monitor ticks the adaptive re-arm
-// skipped and backfilled (diagnostics and tests).
-func (c *Cluster) MonitorSkipped() int { return c.monitorSkipped }
+// MonitorSkipped always returns 0: the monitor ticks on a fixed cadence
+// and never skips. It is kept for callers that still report the count.
+func (c *Cluster) MonitorSkipped() int { return 0 }
 
 // DemandBytes returns cluster-wide KV memory demand in bytes. O(d) in
 // groups whose demand changed since the last sync: the total is folded
@@ -690,42 +634,8 @@ func (c *Cluster) monitorTick() {
 		}
 	}
 	if c.outstanding > 0 || !c.horizonReached {
-		c.armMonitor(demand)
+		c.Sim.After(monitorInterval, "monitor", c.tickFn)
 	}
-}
-
-// armMonitor schedules the next monitor tick. On the dense path that is
-// one fixed MonitorInterval ahead. On the adaptive path — policy
-// quiescent, no tracer — ticks that provably observe nothing are skipped:
-// between now and the next pending event no callback runs, so cluster
-// state (demand, pools, queues, group membership) is frozen, every
-// would-be tick in that window is a no-op whose only output is its demand
-// sample, and that sample is backfilled here with the frozen value. The
-// next live tick lands on the same MonitorInterval grid the fixed cadence
-// would have used, and because no event is scheduled inside the skipped
-// window, its relative order against every same-instant event is
-// unchanged — output is byte-identical, only host work is saved.
-func (c *Cluster) armMonitor(demand int64) {
-	d := c.monitorInterval
-	next := c.Sim.Now().Add(d)
-	if !c.monitorDense && c.tracer == nil {
-		if q, ok := c.Policy.(TickQuiescent); ok && q.TickQuiescent(c) {
-			// Nothing can happen before the next pending event, and
-			// nothing past the serve horizon ever fires — the dense
-			// cadence ticks at grid points ≤ horizon, so backfill stops
-			// there too (hence the 1 ns exclusive bound).
-			limit, ok := c.Sim.NextEventTime()
-			if end := c.horizon.Add(1); !ok || end.Before(limit) {
-				limit = end
-			}
-			for next.Before(limit) {
-				c.Collector.ObserveKVDemand(next, demand)
-				c.monitorSkipped++
-				next = next.Add(d)
-			}
-		}
-	}
-	c.Sim.At(next, "monitor", c.tickFn)
 }
 
 // Serve dispatches the trace and runs the simulation until horizon (or
@@ -735,7 +645,6 @@ func (c *Cluster) armMonitor(demand int64) {
 // rather than panicking mid-simulation.
 func (c *Cluster) Serve(tr *workload.Trace, horizon sim.Time) *metrics.Collector {
 	c.outstanding = len(tr.Requests)
-	c.horizon = horizon
 	if c.lazyArrivals {
 		// Streaming mode: each arrival schedules its successor, so the
 		// event queue holds O(1) arrival events instead of the whole
@@ -749,7 +658,7 @@ func (c *Cluster) Serve(tr *workload.Trace, horizon sim.Time) *metrics.Collector
 			c.Sim.AtCall(wr.Arrival, "arrive", c.admitFn, wr)
 		}
 	}
-	c.Sim.After(c.monitorInterval, "monitor", c.tickFn)
+	c.Sim.After(monitorInterval, "monitor", c.tickFn)
 	c.Sim.RunUntil(horizon)
 	c.horizonReached = true
 	return c.Collector

@@ -86,6 +86,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c Config) Config { c.GPU = nil; return c },
 		func(c Config) Config { c.Instances = 0; return c },
 		func(c Config) Config { c.Policy = nil; return c },
+		func(c Config) Config { c.CacheEvict = "nope"; return c },
 	}
 	for i, mutate := range bad {
 		if _, err := New(mutate(base)); err == nil {
@@ -212,14 +213,50 @@ func TestPPSlowerThanDPUnderNoOverload(t *testing.T) {
 	}
 }
 
+// tickRecorder records the instant of every monitor tick.
+type tickRecorder struct {
+	recomputePolicy
+	ticks []sim.Time
+}
+
+func (p *tickRecorder) OnTick(c *Cluster) { p.ticks = append(p.ticks, c.Sim.Now()) }
+
+// The monitor samples demand once per interval all the way to the horizon,
+// including the idle tail after the trace drains, where every sample is 0.
 func TestMonitorRecordsDemand(t *testing.T) {
-	c := testCluster(t, 1, recomputePolicy{})
-	col := c.Serve(smallTrace(5, 0.2, 2048, 64), sim.FromSeconds(60))
+	pol := &tickRecorder{}
+	c := testCluster(t, 1, pol)
+	horizon := sim.FromSeconds(60)
+	col := c.Serve(smallTrace(5, 0.2, 2048, 64), horizon)
+
+	want := int(sim.Duration(horizon) / monitorInterval)
+	if len(pol.ticks) != want {
+		t.Fatalf("%d monitor ticks, want one per interval up to the horizon (%d)", len(pol.ticks), want)
+	}
+	for i, at := range pol.ticks {
+		if want := sim.Time(sim.Duration(i+1) * monitorInterval); at != want {
+			t.Fatalf("tick %d at %v, want %v", i, at, want)
+		}
+	}
+
+	var drained sim.Time
+	for _, rec := range col.Records {
+		if rec.Completed > drained {
+			drained = rec.Completed
+		}
+	}
+	if drained == 0 || drained > horizon/2 {
+		t.Fatalf("trace drained at %v, want well before the %v horizon", drained, horizon)
+	}
 	vals := col.KVDemand.Values()
+	if n := int(sim.Duration(horizon)/metricsWindow) + 1; len(vals) != n {
+		t.Fatalf("%d demand bins, want %d (samples up to the horizon)", len(vals), n)
+	}
 	var peak float64
-	for _, v := range vals {
-		if v > peak {
-			peak = v
+	for i, v := range vals {
+		peak = max(peak, v)
+		if start := sim.Time(sim.Duration(i) * metricsWindow); start > drained && v != 0 {
+			t.Errorf("demand bin %d (from %v) = %v after the drain at %v, want 0", i, start, v, drained)
 		}
 	}
 	if peak <= 0 {
@@ -607,20 +644,11 @@ func TestPrefixClampLeavesOnePrivateToken(t *testing.T) {
 	}
 }
 
+// The retry delay is fixed at the 10 ms the published results were
+// produced with, and an unknown eviction policy is still rejected.
 func TestRetryRoundDelayConfig(t *testing.T) {
-	c := prefixCluster(t, false)
-	if c.retryRoundDelay != 10*sim.Millisecond {
-		t.Fatalf("default retry delay = %v", c.retryRoundDelay)
-	}
-	c2, err := New(Config{
-		Seed: 1, Model: model.Qwen25_14B(), GPU: gpu.A800(), Instances: 1,
-		Policy: recomputePolicy{}, RetryRoundDelay: 25 * sim.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.retryRoundDelay != 25*sim.Millisecond {
-		t.Fatalf("configured retry delay = %v", c2.retryRoundDelay)
+	if retryRoundDelay != 10*sim.Millisecond {
+		t.Fatalf("retry delay = %v, want 10ms", retryRoundDelay)
 	}
 	if _, err := New(Config{
 		Seed: 1, Model: model.Qwen25_14B(), GPU: gpu.A800(), Instances: 1,

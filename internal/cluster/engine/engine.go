@@ -771,7 +771,7 @@ func (e *Engine) runLaunch(rd *round) bool {
 		if rd.hadWork {
 			// Memory pressure blocked every item and the policy
 			// could not free anything synchronously; retry after
-			// Config.RetryRoundDelay (asynchronous relief — swap-out
+			// Options.RetryDelay (asynchronous relief — swap-out
 			// completion, a migration, a drop — will land in the
 			// meantime).
 			e.simu.After(e.retryDelay, "retry-round", e.wakeFn)

@@ -185,12 +185,15 @@ func TestPressureBlockedRoundRetries(t *testing.T) {
 		t.Fatalf("blocked round: pressure calls %d, executing %v, tokens %d",
 			pressureCalls, e.Executing(), r.Seq.Tokens())
 	}
-	if next, ok := s.NextEventTime(); !ok || next != sim.Time(testRetryDelay) {
-		t.Fatalf("next event at %v (pending %v), want the retry at %v", next, ok, testRetryDelay)
-	}
 
-	// Asynchronous relief lands before the retry fires.
+	// Asynchronous relief lands before the retry fires, and nothing else
+	// runs until the retry instant.
 	s.At(sim.Time(testRetryDelay/2), "free", hog.Free)
+	s.RunUntil(sim.Time(testRetryDelay - 1))
+	if s.Processed != 1 || e.Executing() {
+		t.Fatalf("before the retry instant: processed %d events, executing %v; want only the free",
+			s.Processed, e.Executing())
+	}
 	s.RunUntil(sim.Time(testRetryDelay))
 	// Exactly two events fired: the free and a single retry.
 	if s.Processed != 2 {

@@ -77,7 +77,7 @@ func newGroup(id int, cl *Cluster, insts []*instance.Instance) (*Group, error) {
 			capTokens = c
 		}
 	}
-	g.pool = kvcache.NewPool(capTokens/cl.BlockTokens, cl.BlockTokens)
+	g.pool = kvcache.NewPool(capTokens/blockTokens, blockTokens)
 	// Reconfiguration resizes live pools (a drop grows the merged group's
 	// pool, a restore shrinks it back); capacity feeds the least-loaded
 	// routing key, so resizes queue an index refresh like demand deltas do.
@@ -105,10 +105,10 @@ func newGroup(id int, cl *Cluster, insts []*instance.Instance) (*Group, error) {
 		Pipeline:      g.pipe,
 		Queue:         cl.newDiscipline(),
 		Collector:     cl.Collector,
-		Budget:        cl.Budget,
+		Budget:        batching.DefaultBudget(),
 		Depth:         len(insts),
 		PrefixCaching: cl.PrefixCaching,
-		RetryDelay:    cl.retryRoundDelay,
+		RetryDelay:    retryRoundDelay,
 		Tracer:        cl.tracer,
 		Req:           cl.reqTrack,
 		Callbacks: engine.Callbacks{

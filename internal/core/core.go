@@ -213,29 +213,6 @@ func (p *Policy) OnTick(c *cluster.Cluster) {
 	p.maybeRestore(c)
 }
 
-// TickQuiescent implements the adaptive-monitor extension. The drop
-// trigger (§4.1) is a pure function of demand, capacity, and queue state,
-// so with frozen state a future tick decides exactly as this one did. The
-// restore path (§4.4) is the one time-dependent piece: its hysteresis
-// holdoff can expire — and a restore fire — with no state change at all,
-// so while any merged (multi-stage) group exists the monitor must keep
-// its dense cadence. Mid-reconfiguration ticks are no-ops, but the merged
-// group the reconfiguration creates needs the same dense treatment, so
-// reconfiguring also reports non-quiescent.
-func (p *Policy) TickQuiescent(c *cluster.Cluster) bool {
-	if p.reconfiguring {
-		return false
-	}
-	if !p.opts.DisableRestore {
-		for _, g := range c.Groups() {
-			if g.Stages() >= 2 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // singletonCapacityTokens returns one instance's KV token capacity when
 // holding a full parameter copy (the restore target): its current KV
 // region minus the memory the missing layers will take back. This respects

@@ -110,17 +110,6 @@ func (s *Simulation) recycle(e *event) {
 	s.free = append(s.free, e)
 }
 
-// NextEventTime returns the firing time of the earliest pending event; ok
-// is false when the queue is empty. Between the current instant and that
-// time no callback runs, so no simulation state can change — the adaptive
-// cluster monitor uses this horizon to skip provably idle ticks.
-func (s *Simulation) NextEventTime() (t Time, ok bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
-}
-
 // Step fires the next event, advancing the clock. It returns false when the
 // queue is empty.
 func (s *Simulation) Step() bool {
