@@ -38,13 +38,13 @@
 // default 512, each serving an hour-class diurnal trace in bounded-memory
 // mode). An explicit -instances below 4 for disagg or 2 for scale exits 2.
 // None of the four is part of "all" so that "all" output stays comparable
-// across versions. -stream runs any experiment in bounded-memory
-// streaming mode: the collector keeps reservoir samples instead of every
-// record and arrivals enter the event queue lazily, so memory scales with
-// live requests rather than trace length (percentiles become reservoir
-// estimates; off by default, which reproduces full-retention output
-// byte-for-byte). -list-exps prints each experiment with its description
-// and exits.
+// across versions. -stream runs an experiment in bounded-memory streaming
+// mode: the collector keeps reservoir samples instead of every record, so
+// memory scales with live requests rather than trace length (percentiles
+// become reservoir estimates past 4096 samples; the simulation itself is
+// unchanged). Experiments that read per-request records (fig13, fig12+13,
+// all, prefix) exit 2 under -stream. -list-exps prints each experiment
+// with its description and exits.
 //
 // -trace writes a Chrome trace-event / Perfetto JSON record of every
 // simulation the experiment ran (per-request lifecycle spans, dispatch
@@ -120,7 +120,7 @@ func main() {
 		router    = flag.String("router", "", "dispatch router: "+strings.Join(sched.RouterNames, ", ")+" (default least-loaded)")
 		queue     = flag.String("queue", "", "wait-queue discipline: "+strings.Join(sched.DisciplineNames, ", ")+" (default fcfs)")
 		scanDisp  = flag.Bool("scan-dispatch", false, "force the dispatcher onto the full candidate scan instead of the incremental router index (the determinism oracle; results are identical either way)")
-		stream    = flag.Bool("stream", false, "bounded-memory streaming mode: reservoir percentiles and lazy arrivals (always on for -exp scale)")
+		stream    = flag.Bool("stream", false, "bounded-memory streaming mode: reservoir percentiles instead of per-request records (always on for -exp scale)")
 		prefixOn  = flag.Bool("prefix-caching", false, "enable content-addressed KVCache prefix sharing (default off; off reproduces the identity-free allocator byte-for-byte)")
 		evict     = flag.String("cache-evict", "", "cached-block eviction policy: lru (default), fifo; requires -prefix-caching")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of every simulation to this file (load it at ui.perfetto.dev)")
@@ -148,6 +148,10 @@ func main() {
 	if *sweepFlag == "" {
 		if err := checkInstances(*exp, *instances); err != nil {
 			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if *stream && slices.Contains(recordExps, *exp) {
+			fmt.Fprintf(os.Stderr, "-exp %s needs per-request records, which -stream does not keep\n", *exp)
 			os.Exit(2)
 		}
 	}
@@ -323,6 +327,10 @@ var minInstances = map[string]int{
 	"disagg": experiments.DisaggMinInstances,
 	"scale":  experiments.ScaleMinInstances,
 }
+
+// recordExps holds the experiments that read per-request latency records
+// (Summary.TTFTs/TPOTs/Outputs), which a streaming collector does not keep.
+var recordExps = []string{"fig13", "fig12+13", "all", "prefix"}
 
 // checkInstances rejects an explicit -instances below the experiment's
 // minimum. Zero (the default) passes: the experiment raises its default

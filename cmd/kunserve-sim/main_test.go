@@ -67,6 +67,8 @@ func TestBadNumericFlagExitsTwo(t *testing.T) {
 		{"-exp disagg -instances 1", ">= 4"},
 		{"-exp scale -instances 1", ">= 2"},
 		{"-exp fig2 -cache-evict fifo", "-prefix-caching"},
+		{"-exp fig13 -stream", "-exp fig13 needs per-request records"},
+		{"-exp prefix -stream", "-exp prefix needs per-request records"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadNumericFlagExitsTwo$")
 		cmd.Env = append(os.Environ(), "KUNSERVE_SIM_MAIN=1", "KUNSERVE_SIM_ARGS="+c.args)

@@ -66,19 +66,12 @@ type Config struct {
 	// allocates or schedules anything, so an untraced run is byte-identical
 	// to a build without the tracing layer.
 	Tracer obs.Tracer
-	// MetricsReservoir, when positive, puts the cluster's collector in
-	// bounded-memory mode: latency distributions become capacity-capped
-	// reservoir samples (seeded from the cluster seed) and per-request
-	// records are not retained — summaries only. Zero (the default) keeps
-	// the exact, unbounded collector.
-	MetricsReservoir int
-	// LazyArrivals schedules each trace arrival from its predecessor's
-	// callback instead of pre-scheduling the whole trace, bounding the
-	// event queue by concurrency instead of trace length. It changes
-	// event sequence numbering — and therefore tie-breaks between
-	// same-timestamp events — so it is reserved for streaming-mode runs,
-	// never the byte-identical default path.
-	LazyArrivals bool
+	// Stream puts the cluster's collector in bounded-memory mode: latency
+	// distributions become metrics.ReservoirCapacity-sample reservoirs
+	// (seeded from the cluster seed) and per-request records are not
+	// retained — summaries only. Off (the default) keeps the exact,
+	// unbounded collector. The simulation itself is the same either way.
+	Stream bool
 	// ScanDispatch forces Dispatch onto the full candidate scan even when
 	// the router is indexable, rebuilding the slate per request the way
 	// the pre-index dispatcher did. The scan is the semantic oracle: CI
@@ -184,8 +177,12 @@ type Cluster struct {
 	// scales with concurrency, not trace length.
 	reqPool request.Pool
 
-	// lazyArrivals mirrors Config.LazyArrivals.
-	lazyArrivals bool
+	// arrivals is the served trace's requests; arrivalSeq is the first of
+	// the event sequence numbers Serve reserved for them, and arrived
+	// counts arrival events fired so far.
+	arrivals   []workload.Request
+	arrivalSeq uint64
+	arrived    int
 
 	// admitFn/tickFn are persistent event callbacks (one closure for the
 	// whole run instead of one per arrival / per monitor tick).
@@ -212,6 +209,10 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	targets := make(map[string]metrics.SLOTarget, len(cfg.SLOClasses))
+	for name, t := range cfg.SLOClasses {
+		targets[name] = metrics.SLOTarget{TTFT: t.TTFT, TBT: t.TBT}
+	}
 	c := &Cluster{
 		Sim:           sim.New(cfg.Seed),
 		Model:         cfg.Model,
@@ -220,21 +221,22 @@ func New(cfg Config) (*Cluster, error) {
 		SLOClasses:    cfg.SLOClasses,
 		PrefixCaching: cfg.PrefixCaching,
 		cacheEvict:    evict,
-		Collector:     metrics.NewCollector(metricsWindow),
+		Collector:     metrics.NewCollector(metricsWindow, targets),
 		router:        sched.NewLeastLoaded(),
 		newDiscipline: sched.NewFCFS,
 		tracer:        cfg.Tracer,
 		reqTrack:      obs.NewReqTracker(cfg.Tracer),
-		lazyArrivals:  cfg.LazyArrivals,
 	}
-	c.admitFn = func(arg any) { c.admitArrival(arg.(*workload.Request)) }
+	c.admitFn = func(arg any) {
+		// Chain the next arrival before admitting this one, so it holds
+		// its reserved place ahead of every event the admission schedules.
+		c.arrived++
+		c.scheduleArrival(c.arrived)
+		c.admitArrival(arg.(*workload.Request))
+	}
 	c.tickFn = c.monitorTick
-	if cfg.MetricsReservoir > 0 {
-		targets := make(map[string]metrics.SLOTarget, len(cfg.SLOClasses))
-		for name, t := range cfg.SLOClasses {
-			targets[name] = metrics.SLOTarget{TTFT: t.TTFT, TBT: t.TBT}
-		}
-		c.Collector.Bound(cfg.MetricsReservoir, cfg.Seed, targets)
+	if cfg.Stream {
+		c.Collector.Bound(cfg.Seed)
 	}
 	if cfg.NewRouter != nil {
 		if c.router = cfg.NewRouter(cfg.Seed); c.router == nil {
@@ -642,39 +644,36 @@ func (c *Cluster) monitorTick() {
 // until the event queue drains past it). It returns the collector for
 // analysis. Callers should consult Err afterwards: requests that found no
 // live group to dispatch to are dropped from the run and reported there
-// rather than panicking mid-simulation.
+// rather than panicking mid-simulation. A trace not sorted by arrival
+// panics.
+//
+// Arrivals enter the event queue one at a time, each scheduled by its
+// predecessor's event under a sequence number reserved here, so the queue
+// holds one pending arrival rather than the whole trace while every tie
+// pops exactly as if the trace had been scheduled up front.
 func (c *Cluster) Serve(tr *workload.Trace, horizon sim.Time) *metrics.Collector {
-	c.outstanding = len(tr.Requests)
-	if c.lazyArrivals {
-		// Streaming mode: each arrival schedules its successor, so the
-		// event queue holds O(1) arrival events instead of the whole
-		// trace. Event sequence numbers differ from the eager default,
-		// which reorders same-timestamp ties — that is why the default
-		// (byte-identical) path still pre-schedules everything.
-		c.scheduleArrival(tr, 0)
-	} else {
-		for i := range tr.Requests {
-			wr := &tr.Requests[i]
-			c.Sim.AtCall(wr.Arrival, "arrive", c.admitFn, wr)
+	for i := 1; i < len(tr.Requests); i++ {
+		if tr.Requests[i].Arrival.Before(tr.Requests[i-1].Arrival) {
+			panic(fmt.Sprintf("cluster: trace %q is not sorted by arrival: request %d arrives at %v, before request %d at %v",
+				tr.Name, i, tr.Requests[i].Arrival, i-1, tr.Requests[i-1].Arrival))
 		}
 	}
+	c.outstanding = len(tr.Requests)
+	c.arrivals = tr.Requests
+	c.arrivalSeq = c.Sim.ReserveSeq(len(tr.Requests))
+	c.scheduleArrival(0)
 	c.Sim.After(monitorInterval, "monitor", c.tickFn)
 	c.Sim.RunUntil(horizon)
 	c.horizonReached = true
 	return c.Collector
 }
 
-// scheduleArrival queues trace request i's arrival event; its callback
-// chains the next one (lazy-arrival mode).
-func (c *Cluster) scheduleArrival(tr *workload.Trace, i int) {
-	if i >= len(tr.Requests) {
-		return
+// scheduleArrival queues trace request i's arrival event under its
+// reserved sequence number; past the end of the trace it does nothing.
+func (c *Cluster) scheduleArrival(i int) {
+	if i < len(c.arrivals) {
+		c.Sim.AtCallSeq(c.arrivals[i].Arrival, c.arrivalSeq+uint64(i), "arrive", c.admitFn, &c.arrivals[i])
 	}
-	wr := &tr.Requests[i]
-	c.Sim.At(wr.Arrival, "arrive", func() {
-		c.scheduleArrival(tr, i+1)
-		c.admitArrival(wr)
-	})
 }
 
 // admitArrival materializes one trace request (through the request pool)

@@ -657,3 +657,46 @@ func TestRetryRoundDelayConfig(t *testing.T) {
 		t.Fatal("unknown eviction policy accepted")
 	}
 }
+
+// demandProbe records the cluster's KV demand at every monitor tick.
+type demandProbe struct {
+	recomputePolicy
+	demand map[sim.Time]int64
+}
+
+func (p *demandProbe) OnTick(c *Cluster) { p.demand[c.Sim.Now()] = c.DemandBytes() }
+
+// A request arriving exactly at a monitor tick is dispatched before that
+// tick reads demand: trace arrivals hold the tie-break order they would
+// have if the whole trace were scheduled before the monitor, even though
+// each is scheduled only when its predecessor arrives.
+func TestArrivalAtTickPrecedesMonitor(t *testing.T) {
+	pol := &demandProbe{demand: map[sim.Time]int64{}}
+	c := testCluster(t, 1, pol)
+	tr := &workload.Trace{Name: "tick-tie", Requests: []workload.Request{
+		{ID: 0, Arrival: 0, InputLen: 16, OutputLen: 1},
+		{ID: 1, Arrival: sim.Time(monitorInterval), InputLen: 2048, OutputLen: 64},
+	}}
+	col := c.Serve(tr, sim.FromSeconds(10))
+	if len(col.Records) != 2 || col.Records[0].Completed >= sim.Time(monitorInterval) {
+		t.Fatalf("records %+v: want request 0 drained before the first tick", col.Records)
+	}
+	if d := pol.demand[sim.Time(monitorInterval)]; d <= 0 {
+		t.Errorf("demand at the %v tick = %d, want the request arriving then counted", monitorInterval, d)
+	}
+}
+
+// Serve refuses a trace that is not sorted by arrival, naming it.
+func TestServeUnsortedTracePanics(t *testing.T) {
+	c := testCluster(t, 1, recomputePolicy{})
+	tr := smallTrace(3, 0.5, 128, 8)
+	tr.Name = "shuffled"
+	tr.Requests[1], tr.Requests[2] = tr.Requests[2], tr.Requests[1]
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"shuffled"`) || !strings.Contains(msg, "not sorted") {
+			t.Errorf("panic %q, want one naming the unsorted trace", msg)
+		}
+	}()
+	c.Serve(tr, sim.FromSeconds(10))
+}

@@ -334,9 +334,6 @@ func (e *Engine) EachRunning(fn func(r *request.Request)) {
 // IsStalled reports whether a request is currently stalled here.
 func (e *Engine) IsStalled(r *request.Request) bool { return e.stalled[r.ID] != nil }
 
-// StalledCount returns how many running requests are stalled.
-func (e *Engine) StalledCount() int { return len(e.stalled) }
-
 // Closed reports whether the engine has been dissolved.
 func (e *Engine) Closed() bool { return e.closed }
 

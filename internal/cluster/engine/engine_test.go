@@ -85,7 +85,7 @@ func newTestEngine(blocks int, pressure func(need int) bool, finished *[]int) (*
 		Pool:       pool,
 		Pipeline:   pipeline.New(s, []*pipeline.Stage{stage}, 1),
 		Queue:      sched.NewFCFS(),
-		Collector:  metrics.NewCollector(sim.Second),
+		Collector:  metrics.NewCollector(sim.Second, nil),
 		Budget:     batching.Budget{MaxTokens: 512},
 		Depth:      1,
 		RetryDelay: testRetryDelay,

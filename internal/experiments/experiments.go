@@ -122,12 +122,11 @@ type Config struct {
 	// runner returns results in submission order.
 	Parallel int
 	// Stream runs every cell in bounded-memory streaming mode: reservoir
-	// percentiles (runner.DefaultReservoir samples per distribution)
-	// instead of full record retention, and lazily scheduled arrivals so
-	// the event queue never holds the whole trace. Required for
-	// cluster-scale sweeps (-exp scale); off by default because the
-	// figure experiments recompute SLOs from the per-record latencies
-	// that streaming discards.
+	// percentiles (metrics.ReservoirCapacity samples per distribution)
+	// instead of full record retention. The simulation itself is the same
+	// either way. Required for cluster-scale sweeps (-exp scale); off by
+	// default because Figure 13 and the prefix experiment read the
+	// per-request latencies that streaming discards.
 	Stream bool
 	// TraceSink, when set, collects a per-cell observability trace from
 	// every simulation this config runs (the CLI's -trace flag exports it
@@ -316,10 +315,7 @@ func (c Config) clusterConfig(tr *workload.Trace) cluster.Config {
 		PrefixCaching:    c.PrefixCaching,
 		CacheEvict:       c.CacheEvict,
 		ScanDispatch:     c.ScanDispatch,
-	}
-	if c.Stream {
-		cc.MetricsReservoir = runner.DefaultReservoir
-		cc.LazyArrivals = true
+		Stream:           c.Stream,
 	}
 	if c.WorkloadSpec != nil {
 		cc.SLOClasses = c.WorkloadSpec.ClassTargets()

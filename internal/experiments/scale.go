@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kunserve/internal/cluster"
+	"kunserve/internal/metrics"
 	"kunserve/internal/runner"
 	"kunserve/internal/sim"
 	"kunserve/internal/workload"
@@ -123,8 +124,8 @@ var scaleSystems = []System{SysVLLMDP, SysKunServe}
 // ExperimentScale runs the cluster-scale streaming sweep: for each rung of
 // the fleet ladder, an hour-class sine-modulated diurnal trace (4 load
 // cycles over the configured duration) is served by vLLM (DP) and KunServe
-// with streaming metrics and lazy arrivals forced on, so memory stays
-// bounded by the live request population rather than the trace length.
+// with streaming metrics forced on, so memory stays bounded by the live
+// request population rather than the trace length.
 // Every (rung x system) cell joins one shared run set, so small rungs
 // overlap the big one across cores instead of idling behind it; the sweep's
 // wall clock approaches the slowest single cell at 4+ workers. The price is
@@ -225,8 +226,8 @@ func ExperimentScale(cfg Config) (*ScaleResult, error) {
 // PrintExperimentScale renders the result.
 func PrintExperimentScale(w io.Writer, r *ScaleResult) {
 	printHeader(w, "Scale: streaming fleet sweep (diurnal load)")
-	fmt.Fprintf(w, "trace length %v, bounded metrics (reservoir %d), lazy arrivals\n",
-		r.Duration, runner.DefaultReservoir)
+	fmt.Fprintf(w, "trace length %v, bounded metrics (reservoir %d)\n",
+		r.Duration, metrics.ReservoirCapacity)
 	if t := r.Timing; t != nil {
 		fmt.Fprintf(w, "workers %d on GOMAXPROCS %d / %d CPUs | total wall %.1fs | heap %.0f MB / sys %.0f MB\n",
 			t.Workers, t.GOMAXPROCS, t.NumCPU, t.TotalWallSeconds,

@@ -15,21 +15,27 @@ import (
 	"kunserve/internal/sim"
 )
 
+// ReservoirCapacity is the per-distribution sample capacity of a bounded
+// collector: large enough for stable tail percentiles (p99.9 of 4096
+// uniform samples), small enough that a thousand-cell sweep's metrics stay
+// in the tens of megabytes.
+const ReservoirCapacity = 4096
+
 // Dist is an online collection of latency samples in seconds.
 //
 // The zero value stores every sample exactly. NewReservoirDist builds the
 // opt-in bounded-memory variant: a fixed-capacity uniform reservoir
-// (Vitter's Algorithm R) whose percentiles approximate the full stream
-// while Mean and Count stay exact (running sum / counter). The reservoir
+// (Vitter's Algorithm R) whose percentiles approximate the full stream.
+// Mean and Count are exact in both (running sum / counter). The reservoir
 // is seed-deterministic — same seed, same sample order, same contents.
 type Dist struct {
 	samples []float64
 	sorted  bool
+	seen    int64
+	sum     float64
 
 	// Reservoir state; rcap == 0 selects the exact default.
 	rcap int
-	seen int64
-	sum  float64
 	rng  *rand.Rand
 }
 
@@ -48,56 +54,36 @@ func NewReservoirDist(capacity int, seed int64) *Dist {
 
 // Add records one sample.
 func (d *Dist) Add(v float64) {
-	if d.rcap > 0 {
-		d.seen++
-		d.sum += v
-		if len(d.samples) < d.rcap {
-			d.samples = append(d.samples, v)
-			d.sorted = false
-			return
-		}
-		// Algorithm R: the i-th sample replaces a uniformly random slot
-		// with probability rcap/i, keeping the reservoir a uniform sample
-		// of everything seen.
-		if j := d.rng.Int63n(d.seen); j < int64(d.rcap) {
-			d.samples[j] = v
-			d.sorted = false
-		}
+	d.seen++
+	d.sum += v
+	if d.rcap == 0 || len(d.samples) < d.rcap {
+		d.samples = append(d.samples, v)
+		d.sorted = false
 		return
 	}
-	d.samples = append(d.samples, v)
-	d.sorted = false
+	// Algorithm R: the i-th sample replaces a uniformly random slot with
+	// probability rcap/i, keeping the reservoir a uniform sample of
+	// everything seen.
+	if j := d.rng.Int63n(d.seen); j < int64(d.rcap) {
+		d.samples[j] = v
+		d.sorted = false
+	}
 }
 
 // Count returns the number of samples observed (exact in both modes).
-func (d *Dist) Count() int {
-	if d.rcap > 0 {
-		return int(d.seen)
-	}
-	return len(d.samples)
-}
+func (d *Dist) Count() int { return int(d.seen) }
 
 // Retained returns how many samples are held in memory: Count() in the
 // exact default, at most the capacity in reservoir mode.
 func (d *Dist) Retained() int { return len(d.samples) }
 
-// Mean returns the arithmetic mean, or 0 with no samples. Exact in both
-// modes: the reservoir keeps a running sum over the full stream.
+// Mean returns the arithmetic mean, or 0 with no samples: the running sum,
+// in arrival order, over the full stream.
 func (d *Dist) Mean() float64 {
-	if d.rcap > 0 {
-		if d.seen == 0 {
-			return 0
-		}
-		return d.sum / float64(d.seen)
-	}
-	if len(d.samples) == 0 {
+	if d.seen == 0 {
 		return 0
 	}
-	var sum float64
-	for _, v := range d.samples {
-		sum += v
-	}
-	return sum / float64(len(d.samples))
+	return d.sum / float64(d.seen)
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) by nearest-rank, or
@@ -280,14 +266,14 @@ type Collector struct {
 	// carry no stage state at all.
 	StageWaits map[string]*Dist
 
-	// Bounded-memory mode (Bound): rcap > 0 turns every latency Dist into
-	// a capacity-capped reservoir, stops retaining Records, and maintains
-	// per-class SLO attainment incrementally instead of by record replay.
-	rcap    int
+	// Bounded-memory mode (Bound) turns every latency Dist into a
+	// ReservoirCapacity reservoir and stops retaining Records.
+	bounded bool
 	seed    int64
-	targets map[string]SLOTarget
-	// classAttained counts finished requests per class that met every
-	// declared target (exact — updated per finish, not sampled).
+	// targets holds the declared SLO targets per class; classAttained
+	// counts each class's finished requests that met every declared
+	// target (exact — updated per finish, not sampled).
+	targets       map[string]SLOTarget
 	classAttained map[string]int
 }
 
@@ -317,60 +303,54 @@ const (
 )
 
 // NewCollector creates a collector with the given time-series window.
-func NewCollector(window sim.Duration) *Collector {
+// targets declares SLO classes' latency targets (nil declares none):
+// Finish counts each class's requests that meet them (ClassAttained), and
+// a class without declared targets attains trivially.
+func NewCollector(window sim.Duration, targets map[string]SLOTarget) *Collector {
 	return &Collector{
 		MeanTTFT: NewSeries(window),
 		Tokens:   NewSeries(window),
 		KVDemand: NewMaxSeries(window),
+		targets:  targets,
 	}
 }
 
 // Bound switches the collector to bounded-memory mode before any
-// observation: latency distributions become capacity-capped reservoirs
-// (seed-deterministic; per-class reservoirs derive their seeds from the
-// class name so map iteration order cannot matter), per-request Records are
-// not retained, and per-class SLO attainment against targets is maintained
-// incrementally. Mean, Count, and attainment stay exact; percentiles become
-// reservoir approximations. Calling Bound after observations have been
-// recorded panics — mixing exact and sampled state would silently skew
-// percentiles.
-func (c *Collector) Bound(capacity int, seed int64, targets map[string]SLOTarget) {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("metrics: reservoir capacity %d", capacity))
-	}
+// observation: latency distributions become ReservoirCapacity-sample
+// reservoirs (seed-deterministic; per-class reservoirs derive their seeds
+// from the class name so map iteration order cannot matter) and per-request
+// Records are not retained. Mean, Count, and attainment stay exact;
+// percentiles become reservoir approximations. Calling Bound after
+// observations have been recorded panics — mixing exact and sampled state
+// would silently skew percentiles.
+func (c *Collector) Bound(seed int64) {
 	if c.TTFT.Count() > 0 || c.TPOT.Count() > 0 || len(c.Records) > 0 {
 		panic("metrics: Bound after observations")
 	}
-	c.rcap = capacity
+	c.bounded = true
 	c.seed = seed
-	c.targets = targets
-	c.TTFT = *NewReservoirDist(capacity, seed)
-	c.TPOT = *NewReservoirDist(capacity, seed+1)
-	c.classAttained = map[string]int{}
+	c.TTFT = *NewReservoirDist(ReservoirCapacity, seed)
+	c.TPOT = *NewReservoirDist(ReservoirCapacity, seed+1)
 }
 
-// Bounded reports whether the collector runs in bounded-memory mode.
-func (c *Collector) Bounded() bool { return c.rcap > 0 }
-
 // ClassAttained returns the exact number of finished requests in the class
-// that met every declared SLO target. Only maintained in bounded mode;
-// unbounded consumers replay Records instead.
+// that met every declared SLO target.
 func (c *Collector) ClassAttained(class string) int { return c.classAttained[class] }
 
 // newDist builds one named latency distribution in the collector's mode:
 // exact by default, a reservoir with a name-derived seed when bounded.
 func (c *Collector) newDist(name string) *Dist {
-	if c.rcap == 0 {
+	if !c.bounded {
 		return &Dist{}
 	}
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return NewReservoirDist(c.rcap, c.seed^int64(h.Sum64()))
+	return NewReservoirDist(ReservoirCapacity, c.seed^int64(h.Sum64()))
 }
 
 // Finish records a completed request.
 func (c *Collector) Finish(r RequestRecord) {
-	if c.rcap == 0 {
+	if !c.bounded {
 		c.Records = append(c.Records, r)
 	}
 	c.TTFT.Add(r.TTFT())
@@ -382,6 +362,7 @@ func (c *Collector) Finish(r RequestRecord) {
 		if c.ClassTTFT == nil {
 			c.ClassTTFT = map[string]*Dist{}
 			c.ClassTPOT = map[string]*Dist{}
+			c.classAttained = map[string]int{}
 		}
 		d := c.ClassTTFT[r.Class]
 		if d == nil {
@@ -393,12 +374,10 @@ func (c *Collector) Finish(r RequestRecord) {
 		if r.OutputTokens > 1 {
 			c.ClassTPOT[r.Class].Add(r.TPOT())
 		}
-		if c.rcap > 0 {
-			tgt := c.targets[r.Class]
-			if (tgt.TTFT <= 0 || r.TTFT() <= tgt.TTFT) &&
-				(tgt.TBT <= 0 || r.OutputTokens <= 1 || r.TPOT() <= tgt.TBT) {
-				c.classAttained[r.Class]++
-			}
+		tgt := c.targets[r.Class]
+		if (tgt.TTFT <= 0 || r.TTFT() <= tgt.TTFT) &&
+			(tgt.TBT <= 0 || r.OutputTokens <= 1 || r.TPOT() <= tgt.TBT) {
+			c.classAttained[r.Class]++
 		}
 	}
 }

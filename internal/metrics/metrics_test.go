@@ -218,7 +218,7 @@ func TestRequestRecord(t *testing.T) {
 }
 
 func TestCollectorFlow(t *testing.T) {
-	c := NewCollector(10 * sim.Second)
+	c := NewCollector(10*sim.Second, nil)
 	c.Finish(RequestRecord{
 		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(0.2),
 		Completed: sim.FromSeconds(5), OutputTokens: 50,
@@ -245,7 +245,7 @@ func TestCollectorFlow(t *testing.T) {
 }
 
 func TestCollectorPerClassBreakdown(t *testing.T) {
-	c := NewCollector(10 * sim.Second)
+	c := NewCollector(10*sim.Second, nil)
 	c.Finish(RequestRecord{
 		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(0.5),
 		Completed: sim.FromSeconds(2), OutputTokens: 10,
@@ -285,7 +285,7 @@ func TestCollectorPerClassBreakdown(t *testing.T) {
 }
 
 func TestCollectorNoClassesWhenUntagged(t *testing.T) {
-	c := NewCollector(10 * sim.Second)
+	c := NewCollector(10*sim.Second, nil)
 	c.Finish(RequestRecord{
 		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(1),
 		Completed: sim.FromSeconds(2), OutputTokens: 2,
@@ -296,7 +296,7 @@ func TestCollectorNoClassesWhenUntagged(t *testing.T) {
 }
 
 func TestCollectorEmptyThroughput(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	if c.ThroughputTokensPerSec() != 0 {
 		t.Fatal("empty throughput")
 	}
@@ -344,7 +344,7 @@ func TestPropertyPercentiles(t *testing.T) {
 }
 
 func TestStageWaits(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	if c.StageWaits != nil || len(c.StageNames()) != 0 {
 		t.Fatal("fresh collector carries stage state")
 	}
@@ -457,7 +457,7 @@ func TestReservoirDistCapacityPanics(t *testing.T) {
 }
 
 func TestStageWaitsUnknownLabels(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	// Labels outside the Stage* constants are first-class: the map is
 	// open-ended and StageNames reports whatever was observed, sorted.
 	c.ObserveStageWait("warmup", 0.25)
@@ -474,8 +474,8 @@ func TestStageWaitsUnknownLabels(t *testing.T) {
 
 func TestStageWaitsOrderInsensitive(t *testing.T) {
 	stages := []string{StageKVTransfer, StagePrefillQueue, StageDecodeQueue, StageHandoffPending}
-	forward := NewCollector(sim.Second)
-	backward := NewCollector(sim.Second)
+	forward := NewCollector(sim.Second, nil)
+	backward := NewCollector(sim.Second, nil)
 	for i, s := range stages {
 		forward.ObserveStageWait(s, float64(i))
 		backward.ObserveStageWait(stages[len(stages)-1-i], float64(i))
@@ -490,7 +490,7 @@ func TestStageWaitsOrderInsensitive(t *testing.T) {
 }
 
 func TestStageWaitsIndependentOfPerClass(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	c.Finish(RequestRecord{
 		ID: 1, Class: "interactive", Arrival: 0,
 		FirstToken: sim.FromSeconds(0.5), Completed: sim.FromSeconds(2),
@@ -514,7 +514,7 @@ func TestStageWaitsIndependentOfPerClass(t *testing.T) {
 }
 
 func TestObservePrefillHitRate(t *testing.T) {
-	c := NewCollector(sim.Second)
+	c := NewCollector(sim.Second, nil)
 	if c.PrefixHitRate() != 0 {
 		t.Fatal("hit rate without prefill")
 	}

@@ -72,9 +72,6 @@ func NewLink(s *sim.Simulation, bandwidthBps float64, latency sim.Duration) *Lin
 	return l
 }
 
-// Bandwidth returns bytes/s.
-func (l *Link) Bandwidth() float64 { return l.bandwidth }
-
 // TransferTime returns the serialization+latency time for a payload.
 func (l *Link) TransferTime(bytes int64) sim.Duration {
 	return l.latency + sim.DurationFromSeconds(float64(bytes)/l.bandwidth)

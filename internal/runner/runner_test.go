@@ -192,7 +192,7 @@ func TestRunRecoversPanic(t *testing.T) {
 // per-class breakdown with zero attainment and goodput — total starvation
 // is the headline failure a discipline comparison exists to expose.
 func TestClassBreakdownIncludesStarvedClasses(t *testing.T) {
-	col := metrics.NewCollector(sim.Second)
+	col := metrics.NewCollector(sim.Second, nil)
 	col.Finish(metrics.RequestRecord{
 		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(0.5),
 		Completed: sim.FromSeconds(1), OutputTokens: 2, Class: "interactive",
@@ -246,65 +246,66 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// Bounded-memory collectors retain no records, so classBreakdown must read
-// the incrementally maintained attainment counters instead of replaying the
-// (empty) record slice — which would report zero attainment for everything.
-func TestClassBreakdownBounded(t *testing.T) {
-	col := metrics.NewCollector(sim.Second)
-	col.Bound(8, 42, map[string]metrics.SLOTarget{
-		"interactive": {TTFT: 1, TBT: 0.1},
-	})
-	// One request attains both targets (TTFT 0.5 s, TPOT 50 ms)...
-	col.Finish(metrics.RequestRecord{
-		ID: 1, Arrival: 0, FirstToken: sim.FromSeconds(0.5),
-		Completed: sim.FromSeconds(0.55), OutputTokens: 2, Class: "interactive",
-	})
-	// ...one misses TTFT (2 s > 1 s).
-	col.Finish(metrics.RequestRecord{
-		ID: 2, Arrival: 0, FirstToken: sim.FromSeconds(2),
-		Completed: sim.FromSeconds(2.05), OutputTokens: 2, Class: "interactive",
-	})
-	col.EmitTokens(sim.FromSeconds(1), 4)
-	if len(col.Records) != 0 {
-		t.Fatalf("bounded collector retained %d records", len(col.Records))
-	}
+// classBreakdown reads each class's attainment from the collector, which
+// counts it per finish against the declared targets in both modes. The
+// bounded collector keeps no records and here overflows its reservoirs,
+// yet must report the same exact attainment as the exact collector.
+func TestClassBreakdownAttainment(t *testing.T) {
 	targets := sched.ClassTargets{"interactive": {TTFT: 1, TBT: 0.1}}
-	rows := classBreakdown(col, targets, 10)
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(rows))
+	shapes := []struct {
+		class      string
+		ttft, tpot float64
+		out        int
+	}{
+		{"interactive", 0.5, 0.05, 2}, // attains
+		{"interactive", 2, 0.05, 2},   // misses TTFT
+		{"interactive", 0.5, 0.2, 3},  // misses TBT
+		{"interactive", 0.9, 0, 1},    // attains: TBT does not apply to one token
+		{"batch", 30, 1, 2},           // attains: no targets declared
 	}
-	row := rows[0]
-	if row.Finished != 2 {
-		t.Errorf("Finished = %d, want 2", row.Finished)
-	}
-	if row.Attainment != 0.5 {
-		t.Errorf("Attainment = %v, want 0.5 (from incremental counters)", row.Attainment)
-	}
-	if row.Goodput != 0.1 {
-		t.Errorf("Goodput = %v, want 0.1", row.Goodput)
-	}
-	if row.TTFTP99 != 2 {
-		t.Errorf("TTFTP99 = %v, want 2", row.TTFTP99)
-	}
-}
-
-// Streaming cells get the reservoir default and lazy arrivals injected at
-// Add time; cells that chose their own reservoir keep it.
-func TestSetStreamingInjection(t *testing.T) {
-	tr := testTrace()
-	s := NewSet(1)
-	s.Streaming = true
-	s.Add(testCell("a", 1, tr))
-	custom := testCell("b", 1, tr)
-	custom.Cluster.MetricsReservoir = 128
-	s.Add(custom)
-	if got := s.cells[0].Cluster.MetricsReservoir; got != DefaultReservoir {
-		t.Errorf("default cell reservoir = %d, want %d", got, DefaultReservoir)
-	}
-	if !s.cells[0].Cluster.LazyArrivals {
-		t.Error("streaming cell did not get lazy arrivals")
-	}
-	if got := s.cells[1].Cluster.MetricsReservoir; got != 128 {
-		t.Errorf("custom cell reservoir = %d, want 128 preserved", got)
+	reps := metrics.ReservoirCapacity/4 + 1 // > capacity interactive finishes
+	for _, bounded := range []bool{false, true} {
+		col := metrics.NewCollector(sim.Second, map[string]metrics.SLOTarget{
+			"interactive": {TTFT: 1, TBT: 0.1},
+		})
+		if bounded {
+			col.Bound(42)
+		}
+		for k := 0; k < reps; k++ {
+			for i, sh := range shapes {
+				first := sim.FromSeconds(sh.ttft)
+				col.Finish(metrics.RequestRecord{
+					ID: k*len(shapes) + i, FirstToken: first,
+					Completed:    first.Add(sim.DurationFromSeconds(sh.tpot * float64(sh.out-1))),
+					OutputTokens: sh.out, Class: sh.class,
+				})
+			}
+		}
+		col.EmitTokens(sim.FromSeconds(1), 4)
+		wantRecords := reps * len(shapes)
+		if bounded {
+			wantRecords = 0
+		}
+		if len(col.Records) != wantRecords {
+			t.Errorf("bounded=%v: retained %d records, want %d", bounded, len(col.Records), wantRecords)
+		}
+		rows := classBreakdown(col, targets, 10)
+		if len(rows) != 2 || rows[0].Class != "batch" || rows[1].Class != "interactive" {
+			t.Fatalf("bounded=%v: rows = %+v", bounded, rows)
+		}
+		want := map[string]struct {
+			finished   int
+			attainment float64
+		}{"batch": {reps, 1}, "interactive": {4 * reps, 0.5}}
+		for _, row := range rows {
+			w := want[row.Class]
+			if row.Finished != w.finished || row.Attainment != w.attainment {
+				t.Errorf("bounded=%v %s: finished %d attainment %v, want %d %v",
+					bounded, row.Class, row.Finished, row.Attainment, w.finished, w.attainment)
+			}
+			if g := w.attainment * float64(w.finished) / 10; row.Goodput != g {
+				t.Errorf("bounded=%v %s: goodput %v, want %v", bounded, row.Class, row.Goodput, g)
+			}
+		}
 	}
 }

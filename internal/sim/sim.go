@@ -47,7 +47,7 @@ func (s *Simulation) Rand() *rand.Rand { return s.rng }
 // At schedules fn to run at time t. Scheduling in the past panics: that is
 // always a logic error in a discrete-event model.
 func (s *Simulation) At(t Time, label string, fn func()) {
-	s.schedule(t, label).fn = fn
+	s.schedule(t, s.ReserveSeq(1), label).fn = fn
 }
 
 // AtCall schedules fn(arg) at time t. It is the allocation-free fan-out
@@ -55,7 +55,31 @@ func (s *Simulation) At(t Time, label string, fn func()) {
 // per-event arg replaces a fresh closure per schedule (converting a
 // pointer-typed arg to any does not allocate).
 func (s *Simulation) AtCall(t Time, label string, fn func(arg any), arg any) {
-	e := s.schedule(t, label)
+	e := s.schedule(t, s.ReserveSeq(1), label)
+	e.fnArg = fn
+	e.arg = arg
+}
+
+// ReserveSeq sets aside n consecutive tie-break sequence numbers and
+// returns the first. Events later scheduled under them with AtCallSeq pop
+// exactly where they would have had they been scheduled now: a producer
+// can emit a long, time-sorted event stream one event at a time (each
+// scheduling its successor) and keep the order of scheduling it all up
+// front, with one pending event instead of n.
+func (s *Simulation) ReserveSeq(n int) uint64 {
+	base := s.seq
+	s.seq += uint64(n)
+	return base
+}
+
+// AtCallSeq is AtCall under a sequence number from ReserveSeq, each of
+// which schedules at most one event. Using a number that was never
+// reserved panics.
+func (s *Simulation) AtCallSeq(t Time, seq uint64, label string, fn func(arg any), arg any) {
+	if seq >= s.seq {
+		panic(fmt.Sprintf("sim: %q scheduled under unreserved sequence %d", label, seq))
+	}
+	e := s.schedule(t, seq, label)
 	e.fnArg = fn
 	e.arg = arg
 }
@@ -73,9 +97,9 @@ func (s *Simulation) after(d Duration, label string) Time {
 	return s.now.Add(d)
 }
 
-// schedule acquires and enqueues an event struct at time t; the caller
+// schedule acquires and enqueues an event struct at (t, seq); the caller
 // fills in the callback.
-func (s *Simulation) schedule(t Time, label string) *event {
+func (s *Simulation) schedule(t Time, seq uint64, label string) *event {
 	if t.Before(s.now) {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, s.now))
 	}
@@ -88,9 +112,8 @@ func (s *Simulation) schedule(t Time, label string) *event {
 		e = &event{}
 	}
 	e.at = t
-	e.seq = s.seq
+	e.seq = seq
 	e.label = label
-	s.seq++
 	s.push(e)
 	return e
 }
@@ -152,7 +175,7 @@ func (s *Simulation) RunUntil(deadline Time) {
 }
 
 // The event queue is a hand-rolled binary min-heap over (at, seq). Because
-// (at, seq) is a strict total order — seq is unique per schedule — pop order
+// (at, seq) is a strict total order — seq is unique per event — pop order
 // is identical to any other correct heap, so replacing container/heap cannot
 // perturb simulation results. Hand-rolling avoids the any-boxing and
 // interface dispatch of heap.Push/heap.Pop on the hottest path in the

@@ -230,3 +230,83 @@ func TestPropertyPopOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: a time-sorted stream scheduled late — each event schedules its
+// successor under a sequence number reserved up front — pops in exactly the
+// order the same stream pops when scheduled all at once, ties included.
+// Unrelated events scheduled before and after the stream, and follow-ups
+// the stream's events schedule as they fire, interleave identically.
+func TestPropertyReservedSeqMatchesUpfront(t *testing.T) {
+	f := func(offsets, noise []uint8) bool {
+		// Stream times are sorted with many ties; noise times are not.
+		times := make([]Time, len(offsets))
+		for i, off := range offsets {
+			times[i] = Time(off%4) * Time(Millisecond)
+			if i > 0 && times[i] < times[i-1] {
+				times[i] = times[i-1]
+			}
+		}
+		run := func(chained bool) []int {
+			s := New(1)
+			var fired []int
+			record := func(id int) func() {
+				return func() { fired = append(fired, id) }
+			}
+			for j, off := range noise {
+				s.At(Time(off%6)*Time(Millisecond), "pre", record(-1-j))
+			}
+			var base uint64
+			var fire func(arg any)
+			fire = func(arg any) {
+				i := arg.(int)
+				if chained && i+1 < len(times) {
+					s.AtCallSeq(times[i+1], base+uint64(i+1), "stream", fire, i+1)
+				}
+				fired = append(fired, i)
+				if i%2 == 0 {
+					s.After(0, "follow", record(1000+i))
+				}
+			}
+			if chained {
+				base = s.ReserveSeq(len(times))
+				if len(times) > 0 {
+					s.AtCallSeq(times[0], base, "stream", fire, 0)
+				}
+			} else {
+				for i, at := range times {
+					s.AtCall(at, "stream", fire, i)
+				}
+			}
+			for j, off := range noise {
+				s.At(Time(off%5)*Time(Millisecond), "post", record(-1000-j))
+			}
+			s.Run()
+			return fired
+		}
+		upfront, chained := run(false), run(true)
+		if len(upfront) != len(chained) {
+			return false
+		}
+		for k := range upfront {
+			if upfront[k] != chained[k] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestUnreservedSeqPanics(t *testing.T) {
+	s := New(1)
+	base := s.ReserveSeq(2)
+	s.AtCallSeq(0, base+1, "reserved", func(any) {}, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling under an unreserved sequence did not panic")
+		}
+	}()
+	s.AtCallSeq(0, base+2, "unreserved", func(any) {}, nil)
+}
