@@ -334,8 +334,8 @@ func (c *Cluster) syncDemand() {
 	for i, g := range c.dirtyGroups {
 		g.idxDirty = false
 		c.dirtyGroups[i] = nil
-		g.exec.AckLoadNotify()
-		d := g.exec.DemandTokens()
+		g.AckLoadNotify()
+		d := g.DemandTokens()
 		c.totalDemandTokens += int64(d - g.lastDemandTokens)
 		g.lastDemandTokens = d
 		if indexLive && g.inActive {
@@ -428,12 +428,14 @@ func (c *Cluster) EachGroup(fn func(*Group)) {
 	}
 }
 
-// GroupByID finds a live group.
+// GroupByID finds a live group: nil for an unknown ID and for a group
+// that was removed or has closed.
 func (c *Cluster) GroupByID(id int) *Group {
-	for _, g := range c.groups {
-		if g.ID == id && !g.Closed() {
-			return g
-		}
+	if id < 0 || id >= len(c.byID) {
+		return nil
+	}
+	if g := c.byID[id]; g != nil && !g.Closed() {
+		return g
 	}
 	return nil
 }
@@ -728,14 +730,14 @@ func TransplantRequests(dst *Group, running, waiting []*request.Request, stalled
 		r.Seq = seq
 		dst.AdoptRunning(r)
 		if s, ok := stalled[r.ID]; ok && s != nil {
-			dst.exec.RestoreStalled(r)
+			dst.RestoreStalled(r)
 		}
 	}
 	for _, r := range waiting {
 		r.GroupID = dst.ID
 		dst.Queue().Push(r)
 		// Direct discipline pushes bypass Enqueue's demand accounting.
-		dst.exec.AccountQueuedDemand(r)
+		dst.AccountQueuedDemand(r)
 	}
 }
 
@@ -794,9 +796,3 @@ func (c *Cluster) KVCacheReport() KVCacheReport {
 	r.HitRate = c.Collector.PrefixHitRate()
 	return r
 }
-
-// Seq re-exported types for policies.
-type (
-	// Seq aliases the KV sequence type for policy implementations.
-	Seq = kvcache.Seq
-)

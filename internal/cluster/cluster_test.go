@@ -190,7 +190,7 @@ func TestPipelinedGroupServes(t *testing.T) {
 	if col.TTFT.Count() != 10 {
 		t.Fatalf("finished = %d", col.TTFT.Count())
 	}
-	if g.Engine().BubbleRatio() <= 0 {
+	if g.Pipeline().BubbleRatio() <= 0 {
 		t.Error("pipelined execution should report bubbles")
 	}
 }
@@ -359,14 +359,29 @@ func TestNewGroupValidation(t *testing.T) {
 	}
 }
 
+// GroupByID resolves only live groups: a removed group, an ID the cluster
+// never issued, and a group that closed but is not yet removed all miss.
 func TestGroupByIDAndRemove(t *testing.T) {
-	c := testCluster(t, 2, recomputePolicy{})
-	g := c.Groups()[0]
-	if c.GroupByID(g.ID) != g {
-		t.Error("GroupByID")
-	}
-	if c.GroupByID(999) != nil {
-		t.Error("phantom group")
+	c := testCluster(t, 3, recomputePolicy{})
+	gs := c.Groups()
+	live, removed, closed := gs[0], gs[1], gs[2]
+	removed.ExtractRequests()
+	c.RemoveGroup(removed)
+	closed.ExtractRequests()
+	for _, tc := range []struct {
+		name string
+		id   int
+		want *Group
+	}{
+		{"live", live.ID, live},
+		{"removed", removed.ID, nil},
+		{"out of range", 999, nil},
+		{"negative", -1, nil},
+		{"closed, not removed", closed.ID, nil},
+	} {
+		if got := c.GroupByID(tc.id); got != tc.want {
+			t.Errorf("%s: GroupByID(%d) = %v, want %v", tc.name, tc.id, got, tc.want)
+		}
 	}
 }
 
@@ -535,7 +550,7 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 	// Waiting requests join the queue in order behind earlier arrivals.
 	w1, w2 := request.New(5, 0, 128, 16), request.New(6, 0, 128, 16)
 	TransplantRequests(g1, nil, []*request.Request{w1, w2}, nil)
-	waiting := g1.WaitingRequests()
+	waiting := g1.Queue().Items()
 	if len(waiting) != 4 {
 		t.Fatalf("queue len %d, want 4", len(waiting))
 	}

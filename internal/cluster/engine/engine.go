@@ -1,16 +1,16 @@
 // Package engine is the role-aware execution engine behind a serving
 // group: it owns the group's request sets (wait queue, running, stalled)
-// and runs its scheduling rounds as a stage pipeline. Each stage —
-// admission, schedulable collection, iteration forming, KV reservation,
-// launch — is a separate step, and the group's Role selects which stages
-// run and which request states the group accepts:
+// and runs its scheduling rounds. A round is straight-line code — the
+// policy hook, admission, schedulable collection, iteration forming, KV
+// reservation, launch — and the group's Role selects which steps run and
+// which request states the group accepts:
 //
-//   - Collocated (the default) runs every stage and serves the full
-//     request lifecycle, reproducing the original monolithic Group loop
-//     byte-for-byte.
+//   - Collocated (the default) runs every step and serves the full
+//     request lifecycle.
 //   - Prefill admits new arrivals and runs prefill chunks only; a
 //     completed prefill is handed to the policy (KV handoff to a decode
-//     group) instead of decoding locally.
+//     group) instead of decoding locally. The role needs a Handoff
+//     callback: SetRole refuses it otherwise.
 //   - Decode never admits from its queue — requests arrive pre-filled via
 //     KV handoff adoption — and runs decode steps only.
 //
@@ -34,7 +34,7 @@ import (
 	"kunserve/internal/sim"
 )
 
-// Role selects which stages of the scheduling round a group runs and
+// Role selects which steps of the scheduling round a group runs and
 // which requests it accepts.
 type Role int
 
@@ -92,7 +92,8 @@ type Callbacks struct {
 	Finished func(r *request.Request)
 	// Handoff takes over a prefill-role group's completed prefill; it
 	// returns true when the policy accepted the request (stalling it for
-	// the KV transfer). Required for RolePrefill, ignored otherwise.
+	// the KV transfer). Required for RolePrefill (SetRole refuses the
+	// role without it), ignored otherwise.
 	Handoff func(r *request.Request) bool
 	// LoadChanged, when set, fires on the FIRST change to the engine's
 	// demand accounting (queue pushes and pops, running-set membership,
@@ -205,8 +206,6 @@ type Engine struct {
 	// sole consumer of the metric).
 	queuedAt map[int]sim.Time
 
-	stages []stage
-
 	// rd is the per-round scratch state, reused across rounds: at most one
 	// round is in flight per engine, and finishRound consumes rd.items
 	// before the next round can start.
@@ -214,7 +213,7 @@ type Engine struct {
 	// mb1 is the persistent single-microbatch header single-stage groups
 	// launch with (no Former call, no per-round slice).
 	mb1 [1][]batching.Item
-	// finishFn is the launch-stage completion closure, built once so a
+	// finishFn is the launched round's completion closure, built once so a
 	// round launch allocates nothing.
 	finishFn func()
 	// wakeFn is the persistent method-value closure for pressure-retry
@@ -256,7 +255,6 @@ func New(opts Options) *Engine {
 		stalled:       make(map[int]*request.Request),
 		curStamp:      uint64(opts.GroupID+1) << 40,
 	}
-	e.stages = stagesFor(e.role)
 	e.finishFn = func() { e.finishRound(e.rd.items) }
 	e.wakeFn = e.Wake
 	return e
@@ -265,27 +263,24 @@ func New(opts Options) *Engine {
 // Role returns the engine's execution role.
 func (e *Engine) Role() Role { return e.role }
 
-// SetRole switches the engine's role, re-selecting its stage pipeline.
-// Only legal before any request has reached the group.
+// SetRole switches the engine's role. Only legal before any request has
+// reached the group, and the Prefill role requires a Handoff callback
+// (something has to take the completed prefills).
 func (e *Engine) SetRole(role Role) error {
 	if len(e.running) > 0 || e.queue.Len() > 0 || e.executing {
 		return fmt.Errorf("engine: group %d role change with requests in flight", e.groupID)
 	}
+	if role == RolePrefill && e.cb.Handoff == nil {
+		return fmt.Errorf("engine: group %d cannot serve the prefill role without a Handoff callback", e.groupID)
+	}
 	e.role = role
-	e.stages = stagesFor(role)
 	if e.cb.MembershipChanged != nil {
 		e.cb.MembershipChanged()
 	}
 	return nil
 }
 
-// stage is one step of a scheduling round. Returning false ends the round.
-type stage struct {
-	name string
-	run  func(e *Engine, r *round) bool
-}
-
-// round carries one scheduling round's state between stages.
+// round carries one scheduling round's state between its steps.
 type round struct {
 	decodes  []*request.Request
 	prefills []*request.Request
@@ -293,38 +288,11 @@ type round struct {
 	hadWork  bool
 }
 
-var (
-	beforeAdmitStage = stage{"policy", (*Engine).runBeforeAdmit}
-	admitStage       = stage{"admit", (*Engine).runAdmit}
-	collectStage     = stage{"collect", (*Engine).runCollect}
-	formStage        = stage{"form", (*Engine).runForm}
-	reserveStage     = stage{"reserve", (*Engine).runReserve}
-	launchStage      = stage{"launch", (*Engine).runLaunch}
-)
-
-// stagesFor selects the role's stage pipeline. Decode groups skip
-// admission entirely: their requests arrive via handoff adoption.
-func stagesFor(role Role) []stage {
-	if role == RoleDecode {
-		return []stage{beforeAdmitStage, collectStage, formStage, reserveStage, launchStage}
-	}
-	return []stage{beforeAdmitStage, admitStage, collectStage, formStage, reserveStage, launchStage}
-}
-
 // Queue returns the wait-queue discipline.
 func (e *Engine) Queue() sched.Discipline { return e.queue }
 
-// Running returns a copy of the running set (policies iterate it while
-// mutating engine state).
-func (e *Engine) Running() []*request.Request {
-	out := make([]*request.Request, len(e.running))
-	copy(out, e.running)
-	return out
-}
-
 // EachRunning visits the running set in admission order without copying
-// it. fn must not admit, remove, or re-queue requests — policies that
-// mutate the running set while iterating use Running's copy instead.
+// it. fn must not admit, remove, or re-queue requests.
 func (e *Engine) EachRunning(fn func(r *request.Request)) {
 	for _, r := range e.running {
 		fn(r)
@@ -587,12 +555,6 @@ func (e *Engine) maxRunning() int {
 	return e.budget.MaxSeqs * e.depth
 }
 
-// runBeforeAdmit gives the policy its start-of-round hook.
-func (e *Engine) runBeforeAdmit(*round) bool {
-	e.cb.BeforeAdmit()
-	return true
-}
-
 // runAdmit moves waiting requests into the running set in the discipline's
 // dispatch order while their prompts fit in free KV blocks. Admission is
 // head-of-line: when the head does not fit, nothing behind it is admitted
@@ -601,10 +563,10 @@ func (e *Engine) runBeforeAdmit(*round) bool {
 // need no new blocks, but the matched blocks also stop counting as
 // reclaimable (CanFitWithPrefix) — and the matched prefix counts as
 // already prefilled, so those chunks never reach the iteration former.
-func (e *Engine) runAdmit(*round) bool {
+func (e *Engine) runAdmit() {
 	for e.queue.Len() > 0 {
 		if len(e.running) >= e.maxRunning() {
-			return true
+			return
 		}
 		r := e.queue.Peek()
 		if r.Done() {
@@ -619,11 +581,11 @@ func (e *Engine) runAdmit(*round) bool {
 			pfx = kvcache.Prefix{}
 		}
 		if !e.pool.CanFitWithPrefix(pfx, r.PrefillTarget()) {
-			return true
+			return
 		}
 		seq, hit, err := e.pool.NewSeqCached(pfx)
 		if err != nil {
-			return true
+			return
 		}
 		e.queue.Pop()
 		e.demandAdd(-r.PrefillTarget())
@@ -653,13 +615,12 @@ func (e *Engine) runAdmit(*round) bool {
 		}
 		e.rt.Transition(e.simu.Now(), r.ID, "prefill", e.groupID)
 	}
-	return true
 }
 
 // runCollect fills the round's decode and prefill halves with the
 // schedulable running requests, excluding stalled ones, keeping only the
 // halves the role serves. Order is deterministic: by arrival, then ID.
-func (e *Engine) runCollect(rd *round) bool {
+func (e *Engine) runCollect(rd *round) {
 	// Append to locals so the loop does not store the slice headers back
 	// into rd on every append.
 	decodes, prefills := rd.decodes, rd.prefills
@@ -690,14 +651,13 @@ func (e *Engine) runCollect(rd *round) bool {
 		}
 	}
 	rd.decodes, rd.prefills = decodes, prefills
-	return true
 }
 
 // runForm packs one iteration batch from the collected halves. Each
 // pipeline microbatch carries a full token budget (vLLM gives every
 // in-flight virtual engine max_num_batched_tokens), so the iteration budget
 // scales with pipeline depth.
-func (e *Engine) runForm(rd *round) bool {
+func (e *Engine) runForm(rd *round) {
 	budget := e.budget
 	budget.MaxTokens *= e.depth
 	if budget.MaxSeqs > 0 {
@@ -706,13 +666,12 @@ func (e *Engine) runForm(rd *round) bool {
 	rd.items = batching.AppendIteration(rd.items[:0], rd.decodes, rd.prefills, budget)
 	e.curStamp++
 	rd.hadWork = len(rd.items) > 0
-	return true
 }
 
 // runReserve allocates blocks for each item's new tokens, consulting the
 // policy under pressure. Items that still cannot fit are dropped from this
 // round (their requests simply make no progress this iteration).
-func (e *Engine) runReserve(rd *round) bool {
+func (e *Engine) runReserve(rd *round) {
 	// Filter in place, writing an item back only after a drop shifted the
 	// kept ones: in the common no-pressure round every item survives and
 	// the slice is never rewritten (no redundant copies, no write
@@ -758,12 +717,11 @@ func (e *Engine) runReserve(rd *round) bool {
 		}
 	}
 	rd.items = rd.items[:kept]
-	return true
 }
 
 // runLaunch hands the reserved batch to the pipeline, or schedules a
 // pressure retry when nothing survived reservation.
-func (e *Engine) runLaunch(rd *round) bool {
+func (e *Engine) runLaunch(rd *round) {
 	if len(rd.items) == 0 {
 		if rd.hadWork {
 			// Memory pressure blocked every item and the policy
@@ -774,7 +732,7 @@ func (e *Engine) runLaunch(rd *round) bool {
 			e.simu.After(e.retryDelay, "retry-round", e.wakeFn)
 		}
 		e.fireDrainedIfIdle()
-		return false
+		return
 	}
 	e.executing = true
 	e.roundsRun++
@@ -798,7 +756,6 @@ func (e *Engine) runLaunch(rd *round) bool {
 		mbs = e.cb.Form(rd.items, e.depth)
 	}
 	e.pipe.RunRound(mbs, e.finishFn)
-	return true
 }
 
 func (e *Engine) counter(now sim.Time, name string, v float64) {
@@ -806,6 +763,10 @@ func (e *Engine) counter(now sim.Time, name string, v float64) {
 		Name: name, Group: e.groupID, Req: obs.ReqNone, Value: v})
 }
 
+// startRound runs one scheduling round: the policy hook, admission (not
+// in the decode role: its requests arrive by handoff adoption), then
+// collect, form, reserve and launch. Policy callbacks that re-enter Wake
+// mid-round are absorbed by the scheduling guard.
 func (e *Engine) startRound() {
 	if e.executing || e.scheduling || e.closed || e.draining {
 		return
@@ -817,23 +778,35 @@ func (e *Engine) startRound() {
 	rd.prefills = rd.prefills[:0]
 	rd.items = rd.items[:0]
 	rd.hadWork = false
-	for _, st := range e.stages {
-		ok := st.run(e, rd)
-		if e.tr != nil {
-			// One instant per stage, on the stage's own thread row, so
-			// Perfetto shows the pipeline's shape round by round.
-			e.tr.Emit(obs.Event{Phase: obs.PhaseInstant, Time: e.simu.Now(),
-				Cat: obs.CatEngine, Name: st.name, Group: e.groupID,
-				Track: "stage/" + st.name, Req: obs.ReqNone,
-				Args: [2]obs.Arg{
-					{Key: "queued", Val: int64(e.queue.Len())},
-					{Key: "running", Val: int64(len(e.running))},
-				}})
-		}
-		if !ok {
-			return
-		}
+	e.cb.BeforeAdmit()
+	e.traceStage("policy")
+	if e.role != RoleDecode {
+		e.runAdmit()
+		e.traceStage("admit")
 	}
+	e.runCollect(rd)
+	e.traceStage("collect")
+	e.runForm(rd)
+	e.traceStage("form")
+	e.runReserve(rd)
+	e.traceStage("reserve")
+	e.runLaunch(rd)
+	e.traceStage("launch")
+}
+
+// traceStage emits one instant per round step, on the step's own thread
+// row, so Perfetto shows the round's shape step by step.
+func (e *Engine) traceStage(name string) {
+	if e.tr == nil {
+		return
+	}
+	e.tr.Emit(obs.Event{Phase: obs.PhaseInstant, Time: e.simu.Now(),
+		Cat: obs.CatEngine, Name: name, Group: e.groupID,
+		Track: "stage/" + name, Req: obs.ReqNone,
+		Args: [2]obs.Arg{
+			{Key: "queued", Val: int64(e.queue.Len())},
+			{Key: "running", Val: int64(len(e.running))},
+		}})
 }
 
 func (e *Engine) finishRound(items []batching.Item) {

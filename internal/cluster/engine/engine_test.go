@@ -10,6 +10,7 @@ import (
 	"kunserve/internal/kvcache"
 	"kunserve/internal/metrics"
 	"kunserve/internal/model"
+	"kunserve/internal/obs"
 	"kunserve/internal/pipeline"
 	"kunserve/internal/request"
 	"kunserve/internal/sched"
@@ -45,29 +46,72 @@ func TestRoleSemantics(t *testing.T) {
 	}
 }
 
-// stageNames returns the role's stage pipeline in execution order.
-func stageNames(role Role) []string {
+// roundSteps runs one scheduling round under a recorder and returns the
+// stage/* instants it emitted, in order.
+func roundSteps(t *testing.T, role Role) []string {
+	t.Helper()
+	var finished []int
+	e, _, pool := newTestEngine(64, func(int) bool { return false }, &finished)
+	rec := obs.NewRecorder("round")
+	e.tr = rec
+	e.cb.Handoff = func(*request.Request) bool { return true }
+	if err := e.SetRole(role); err != nil {
+		t.Fatal(err)
+	}
+	if role == RoleDecode {
+		r := request.New(1, 0, 16, 4)
+		adopt(t, e, pool, r)
+		r.AdvancePrefill(16, 0)
+		e.Wake()
+	} else {
+		e.Enqueue(request.New(1, 0, 16, 4))
+	}
+	if !e.Executing() {
+		t.Fatalf("%v: round did not launch", role)
+	}
 	var out []string
-	for _, s := range stagesFor(role) {
-		out = append(out, s.name)
+	for _, ev := range rec.Events() {
+		if ev.Cat != obs.CatEngine || !strings.HasPrefix(ev.Track, "stage/") {
+			continue
+		}
+		if ev.Track != "stage/"+ev.Name || ev.Req != obs.ReqNone {
+			t.Errorf("%v: stage instant %q on track %q, req %d", role, ev.Name, ev.Track, ev.Req)
+		}
+		out = append(out, ev.Name)
 	}
 	return out
 }
 
-// The stage pipeline is role-selected: decode groups run no admission
-// stage (their work arrives by handoff adoption), everyone else runs the
-// full pipeline in the same order the monolithic loop used.
-func TestStagePipelineSelection(t *testing.T) {
+// A round is straight-line: every step emits one stage instant in order,
+// and decode groups skip admission (their work arrives by handoff
+// adoption).
+func TestRoundStepsPerRole(t *testing.T) {
 	full := []string{"policy", "admit", "collect", "form", "reserve", "launch"}
-	if got := stageNames(RoleCollocated); !reflect.DeepEqual(got, full) {
-		t.Errorf("collocated stages = %v", got)
-	}
-	if got := stageNames(RolePrefill); !reflect.DeepEqual(got, full) {
-		t.Errorf("prefill stages = %v", got)
-	}
 	noAdmit := []string{"policy", "collect", "form", "reserve", "launch"}
-	if got := stageNames(RoleDecode); !reflect.DeepEqual(got, noAdmit) {
-		t.Errorf("decode stages = %v", got)
+	for _, c := range []struct {
+		role Role
+		want []string
+	}{
+		{RoleCollocated, full},
+		{RolePrefill, full},
+		{RoleDecode, noAdmit},
+	} {
+		if got := roundSteps(t, c.role); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v round steps = %v, want %v", c.role, got, c.want)
+		}
+	}
+}
+
+// The prefill role hands completed prefills to Handoff, so an engine
+// without one refuses the role and stays collocated.
+func TestPrefillRoleRequiresHandoff(t *testing.T) {
+	var finished []int
+	e, _, _ := newTestEngine(64, func(int) bool { return false }, &finished)
+	if err := e.SetRole(RolePrefill); err == nil {
+		t.Fatal("prefill role accepted without a Handoff callback")
+	}
+	if e.Role() != RoleCollocated {
+		t.Errorf("role after refused switch = %v, want collocated", e.Role())
 	}
 }
 
@@ -146,9 +190,7 @@ func TestCollectOrderExcludesStalledAndFinished(t *testing.T) {
 	e.Stall(reqs[4], request.StateSwapped)
 
 	var rd round
-	if !e.runCollect(&rd) {
-		t.Fatal("collect ended the round")
-	}
+	e.runCollect(&rd)
 	if got, want := ids(rd.decodes), []int{9, 5}; !reflect.DeepEqual(got, want) {
 		t.Errorf("decodes = %v, want %v", got, want)
 	}

@@ -73,8 +73,9 @@ type Policy interface {
 // to a decode group (admission-side reservation on the destination pool,
 // a handoff stall while blocks are in flight) — instead of decoding
 // locally. HandoffPrefill returns true when the policy took the request
-// over; Group.SetRole refuses the Prefill role for policies that do not
-// implement this interface.
+// over. Groups get the engine's Handoff callback only under a policy that
+// implements this interface, so SetRole refuses the Prefill role for
+// policies that do not.
 type PrefillFinisher interface {
 	HandoffPrefill(g *Group, r *request.Request) bool
 }

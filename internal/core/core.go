@@ -24,7 +24,10 @@ import (
 // Disable*/ UseTokenCountFormer knobs drive the Figure 14 ablation.
 type Options struct {
 	// OverloadThreshold is the demand/capacity ratio that triggers a
-	// drop (default 0.95: "has suffered or is about to suffer").
+	// drop (default 0.70). The trigger is proactive ("has suffered or is
+	// about to suffer", §3): with KVCache provisioned at ~2x average
+	// demand, baseline sits near 0.5, so 0.70 fires early in a burst
+	// without false-triggering in steady state.
 	OverloadThreshold float64
 	// FreeHeadroom over-frees beyond the deficit (default 0.10 of
 	// capacity) so the next wave does not immediately re-trigger.
@@ -63,10 +66,6 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.OverloadThreshold == 0 {
-		// Proactive ("has suffered or is about to suffer", §3): with
-		// KVCache provisioned at ~2x average demand, baseline sits
-		// near 0.5, so 0.7 fires early in a burst without
-		// false-triggering in steady state.
 		o.OverloadThreshold = 0.70
 	}
 	if o.FreeHeadroom == 0 {

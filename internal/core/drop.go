@@ -41,7 +41,7 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	// the queue, demand alone does not trigger deeper merges.
 	var queuedTokens int64
 	for _, g := range groups {
-		for _, r := range g.WaitingRequests() {
+		for _, r := range g.Queue().Items() {
 			queuedTokens += int64(r.TotalTokens())
 		}
 	}

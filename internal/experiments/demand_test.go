@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kunserve/internal/cluster"
+	"kunserve/internal/request"
 	"kunserve/internal/sim"
 )
 
@@ -11,14 +12,14 @@ import (
 // did — a full walk over running and waiting — through public accessors.
 func walkDemand(g *cluster.Group) int {
 	d := 0
-	for _, r := range g.Running() {
+	g.EachRunning(func(r *request.Request) {
 		c := r.PrefillTarget()
 		if r.Seq != nil && r.Seq.Tokens() > c {
 			c = r.Seq.Tokens()
 		}
 		d += c
-	}
-	for _, r := range g.WaitingRequests() {
+	})
+	for _, r := range g.Queue().Items() {
 		d += r.PrefillTarget()
 	}
 	return d
