@@ -416,7 +416,7 @@ func BenchmarkDropPlanner(b *testing.B) {
 	const copyBytes = 28 << 30
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := planner.Derive(groups, copyBytes, 20*copyBytes); err != nil {
+		if _, err := planner.DeriveCapped(groups, copyBytes, 20*copyBytes, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

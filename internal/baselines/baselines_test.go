@@ -170,7 +170,7 @@ func TestLlumnixRebalanceOnTick(t *testing.T) {
 func TestAllBaselinesOnSharedBurst(t *testing.T) {
 	// Every baseline must survive the same bursty workload; this is the
 	// integration gate for the end-to-end experiments.
-	trace := workload.Generate(7, 20*sim.Second, workload.BurstSchedule(2), workload.BurstGPTDataset())
+	trace := workload.Generate(7, 20*sim.Second, workload.ScaledBurstSchedule(2, 128*sim.Second), workload.BurstGPTDataset())
 	pols := []cluster.Policy{VLLMDP{}, VLLMPP(), NewInferCept(), NewLlumnix()}
 	for _, pol := range pols {
 		c := newCluster(t, 2, pol)

@@ -69,20 +69,15 @@ type Budget struct {
 // that admission is governed by KVCache capacity, not the scheduler.
 func DefaultBudget() Budget { return Budget{MaxTokens: 2048, MaxSeqs: 1024} }
 
-// FormIteration builds one iteration batch: every decode-ready request
-// contributes one token (decode priority, as in vLLM's scheduler), then
-// prefill chunks are packed FCFS into the remaining token budget, chunking
-// the last request to fit. Requests already done or still waiting stay
-// untouched. Prompt tokens served from the shared prefix cache are part of
-// PrefilledTokens at admission, so cache hits never occupy budget here:
-// the iteration former only sees (and schedules) the chunks left to
-// compute.
-func FormIteration(decodes, prefills []*request.Request, b Budget) []Item {
-	return AppendIteration(nil, decodes, prefills, b)
-}
-
-// AppendIteration is FormIteration appending into dst, reusing its capacity
-// (hot-path variant: the engine forms every round into one scratch slice).
+// AppendIteration builds one iteration batch, appending into dst and
+// reusing its capacity (the engine forms every round into one scratch
+// slice). Every decode-ready request contributes one token (decode
+// priority, as in vLLM's scheduler), then prefill chunks are packed FCFS
+// into the remaining token budget, chunking the last request to fit.
+// Requests already done or still waiting stay untouched. Prompt tokens
+// served from the shared prefix cache are part of PrefilledTokens at
+// admission, so cache hits never occupy budget here: the iteration former
+// only sees (and schedules) the chunks left to compute.
 func AppendIteration(dst []Item, decodes, prefills []*request.Request, b Budget) []Item {
 	if b.MaxTokens <= 0 {
 		panic(fmt.Sprintf("batching: MaxTokens = %d", b.MaxTokens))

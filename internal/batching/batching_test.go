@@ -22,7 +22,7 @@ func decodeReq(id, inputLen int) *request.Request {
 func TestFormIterationDecodePriority(t *testing.T) {
 	decodes := []*request.Request{decodeReq(1, 100), decodeReq(2, 200)}
 	prefills := []*request.Request{prefillReq(3, 500)}
-	items := FormIteration(decodes, prefills, Budget{MaxTokens: 301})
+	items := AppendIteration(nil, decodes, prefills, Budget{MaxTokens: 301})
 	if len(items) != 3 {
 		t.Fatalf("items = %d", len(items))
 	}
@@ -43,7 +43,7 @@ func TestFormIterationDecodePriority(t *testing.T) {
 
 func TestFormIterationBudgetStopsPrefill(t *testing.T) {
 	prefills := []*request.Request{prefillReq(1, 1000), prefillReq(2, 1000)}
-	items := FormIteration(nil, prefills, Budget{MaxTokens: 1000})
+	items := AppendIteration(nil, nil, prefills, Budget{MaxTokens: 1000})
 	if len(items) != 1 {
 		t.Fatalf("items = %d, want 1 (budget exhausted)", len(items))
 	}
@@ -56,7 +56,7 @@ func TestFormIterationPartialPrefillContinues(t *testing.T) {
 	r := prefillReq(1, 1000)
 	r.SetState(request.StateRunning)
 	r.AdvancePrefill(600, 1)
-	items := FormIteration(nil, []*request.Request{r}, Budget{MaxTokens: 2048})
+	items := AppendIteration(nil, nil, []*request.Request{r}, Budget{MaxTokens: 2048})
 	if len(items) != 1 {
 		t.Fatal("no item for partially prefilled request")
 	}
@@ -70,7 +70,7 @@ func TestFormIterationMaxSeqs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		decodes = append(decodes, decodeReq(i, 10))
 	}
-	items := FormIteration(decodes, nil, Budget{MaxTokens: 2048, MaxSeqs: 4})
+	items := AppendIteration(nil, decodes, nil, Budget{MaxTokens: 2048, MaxSeqs: 4})
 	if len(items) != 4 {
 		t.Fatalf("items = %d, want 4 (MaxSeqs)", len(items))
 	}
@@ -78,7 +78,7 @@ func TestFormIterationMaxSeqs(t *testing.T) {
 
 func TestFormIterationSkipsFinishedPrefills(t *testing.T) {
 	done := decodeReq(1, 100) // prefill complete
-	items := FormIteration(nil, []*request.Request{done}, Budget{MaxTokens: 100})
+	items := AppendIteration(nil, nil, []*request.Request{done}, Budget{MaxTokens: 100})
 	if len(items) != 0 {
 		t.Fatal("completed prefill produced an item")
 	}
@@ -90,7 +90,7 @@ func TestFormIterationBadBudgetPanics(t *testing.T) {
 			t.Error("zero budget did not panic")
 		}
 	}()
-	FormIteration(nil, nil, Budget{})
+	AppendIteration(nil, nil, nil, Budget{})
 }
 
 func TestToChunkWork(t *testing.T) {
@@ -223,7 +223,7 @@ func TestPropertySplitConservation(t *testing.T) {
 	}
 }
 
-// Property: FormIteration never exceeds budget and decode items always
+// Property: AppendIteration never exceeds budget and decode items always
 // precede prefill items.
 func TestPropertyFormIterationBudget(t *testing.T) {
 	f := func(dLens, pLens []uint16, budget16 uint16) bool {
@@ -241,7 +241,7 @@ func TestPropertyFormIterationBudget(t *testing.T) {
 			}
 			prefills = append(prefills, prefillReq(1000+i, 1+int(l)%4000))
 		}
-		items := FormIteration(decodes, prefills, b)
+		items := AppendIteration(nil, decodes, prefills, b)
 		if TotalTokens(items) > b.MaxTokens {
 			return false
 		}
@@ -266,7 +266,7 @@ func TestPropertyFormIterationBudget(t *testing.T) {
 func TestFormIterationSkipsCachedPrefix(t *testing.T) {
 	r := request.New(1, 0, 1200, 8)
 	r.PrefilledTokens = 1000 // served from the prefix cache at admission
-	items := FormIteration(nil, []*request.Request{r}, Budget{MaxTokens: 2048})
+	items := AppendIteration(nil, nil, []*request.Request{r}, Budget{MaxTokens: 2048})
 	if len(items) != 1 {
 		t.Fatalf("items = %d", len(items))
 	}

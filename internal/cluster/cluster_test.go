@@ -298,8 +298,8 @@ func TestDrainAndTransplant(t *testing.T) {
 			if _, err := b.DropLayers(half); err != nil {
 				t.Error(err)
 			}
-			r0, w0, s0 := g0.ExtractRequests()
-			r1, w1, s1 := g1.ExtractRequests()
+			r0, w0 := g0.ExtractRequests()
+			r1, w1 := g1.ExtractRequests()
 			c.RemoveGroup(g0)
 			c.RemoveGroup(g1)
 			ng, err := c.NewGroup([]int{a.ID, b.ID})
@@ -307,8 +307,8 @@ func TestDrainAndTransplant(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			TransplantRequests(ng, r0, w0, s0)
-			TransplantRequests(ng, r1, w1, s1)
+			TransplantRequests(ng, r0, w0)
+			TransplantRequests(ng, r1, w1)
 			merged = true
 			ng.Wake()
 		}
@@ -481,7 +481,7 @@ func TestServeCarriesClientAndClassTags(t *testing.T) {
 
 // TransplantRequests edge paths: a running request that lost its sequence
 // recomputes, one whose KV cannot fit the destination falls back to
-// recompute, a stalled request keeps its stall bookkeeping, and waiting
+// recompute, a stalled request stays stalled in its new group, and waiting
 // requests join in order.
 func TestTransplantRequestsEdgePaths(t *testing.T) {
 	c := testCluster(t, 2, recomputePolicy{})
@@ -493,7 +493,7 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 	// Nil-Seq recompute path.
 	lost := request.New(1, 0, 512, 32)
 	lost.SetState(request.StateRunning)
-	TransplantRequests(g1, []*request.Request{lost}, nil, nil)
+	TransplantRequests(g1, []*request.Request{lost}, nil)
 	if lost.State() != request.StateQueued || lost.GroupID != g1.ID {
 		t.Errorf("nil-Seq: state %v group %d", lost.State(), lost.GroupID)
 	}
@@ -511,7 +511,7 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	huge.Seq = seq
-	TransplantRequests(g1, []*request.Request{huge}, nil, nil)
+	TransplantRequests(g1, []*request.Request{huge}, nil)
 	if huge.Seq != nil || huge.State() != request.StateQueued || huge.Preemptions != 1 {
 		t.Errorf("fallback: seq %v state %v preemptions %d",
 			huge.Seq, huge.State(), huge.Preemptions)
@@ -520,8 +520,8 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 		t.Error("fallback leaked the source sequence")
 	}
 
-	// Stalled request keeps its stall bookkeeping; a healthy running
-	// request is adopted unstalled.
+	// A stalled request carries its stall state into the new group, which
+	// can resume it; a healthy running request is adopted unstalled.
 	mkRunning := func(id int) *request.Request {
 		r := request.New(id, 0, 128, 16)
 		r.SetState(request.StateRunning)
@@ -534,11 +534,9 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 	}
 	stalledReq, runningReq := mkRunning(3), mkRunning(4)
 	stalledReq.SetState(request.StateSwapped)
-	TransplantRequests(g1,
-		[]*request.Request{stalledReq, runningReq}, nil,
-		map[int]*request.Request{stalledReq.ID: stalledReq})
-	if !g1.IsStalled(stalledReq) {
-		t.Error("stalled request lost its stall bookkeeping")
+	TransplantRequests(g1, []*request.Request{stalledReq, runningReq}, nil)
+	if !g1.IsStalled(stalledReq) || stalledReq.GroupID != g1.ID {
+		t.Error("stalled request lost its stall in the transplant")
 	}
 	if g1.IsStalled(runningReq) {
 		t.Error("healthy request became stalled")
@@ -546,10 +544,14 @@ func TestTransplantRequestsEdgePaths(t *testing.T) {
 	if g1.RunningLen() != 2 {
 		t.Errorf("running len %d, want 2", g1.RunningLen())
 	}
+	g1.Unstall(stalledReq)
+	if g1.IsStalled(stalledReq) || stalledReq.State() != request.StateRunning {
+		t.Errorf("unstall after transplant: state %v", stalledReq.State())
+	}
 
 	// Waiting requests join the queue in order behind earlier arrivals.
 	w1, w2 := request.New(5, 0, 128, 16), request.New(6, 0, 128, 16)
-	TransplantRequests(g1, nil, []*request.Request{w1, w2}, nil)
+	TransplantRequests(g1, nil, []*request.Request{w1, w2})
 	waiting := g1.Queue().Items()
 	if len(waiting) != 4 {
 		t.Fatalf("queue len %d, want 4", len(waiting))

@@ -1,9 +1,9 @@
 // Package engine is the role-aware execution engine behind a serving
-// group: it owns the group's request sets (wait queue, running, stalled)
-// and runs its scheduling rounds. A round is straight-line code — the
-// policy hook, admission, schedulable collection, iteration forming, KV
-// reservation, launch — and the group's Role selects which steps run and
-// which request states the group accepts:
+// group: it owns the group's request sets (wait queue, running) and runs
+// its scheduling rounds. A round is straight-line code — the policy hook,
+// admission, schedulable collection, iteration forming, KV reservation,
+// launch — and the group's Role selects which steps run and which request
+// states the group accepts:
 //
 //   - Collocated (the default) runs every step and serves the full
 //     request lifecycle.
@@ -176,7 +176,6 @@ type Engine struct {
 	// Victim deliberately walks the unsorted running slice — its
 	// tie-breaking depends on admission order.
 	sortedRunning []*request.Request
-	stalled       map[int]*request.Request
 
 	executing  bool
 	scheduling bool // guards re-entrant startRound from policy callbacks
@@ -252,7 +251,6 @@ func New(opts Options) *Engine {
 		retryDelay:    opts.RetryDelay,
 		tr:            opts.Tracer,
 		rt:            opts.Req,
-		stalled:       make(map[int]*request.Request),
 		curStamp:      uint64(opts.GroupID+1) << 40,
 	}
 	e.finishFn = func() { e.finishRound(e.rd.items) }
@@ -299,8 +297,12 @@ func (e *Engine) EachRunning(fn func(r *request.Request)) {
 	}
 }
 
-// IsStalled reports whether a request is currently stalled here.
-func (e *Engine) IsStalled(r *request.Request) bool { return e.stalled[r.ID] != nil }
+// IsStalled reports whether a request is currently stalled here: it belongs
+// to this group and its state is a stall state. The state is the only
+// record of a stall, so a stall travels with a transplanted request.
+func (e *Engine) IsStalled(r *request.Request) bool {
+	return r.GroupID == e.groupID && r.State().Stalled()
+}
 
 // Closed reports whether the engine has been dissolved.
 func (e *Engine) Closed() bool { return e.closed }
@@ -390,16 +392,14 @@ func (e *Engine) Wake() {
 // state.
 func (e *Engine) Stall(r *request.Request, st request.State) {
 	r.SetState(st)
-	e.stalled[r.ID] = r
 	e.rt.Transition(e.simu.Now(), r.ID, st.String(), e.groupID)
 }
 
 // Unstall resumes a stalled request.
 func (e *Engine) Unstall(r *request.Request) {
-	if _, ok := e.stalled[r.ID]; !ok {
+	if !e.IsStalled(r) {
 		panic(fmt.Sprintf("engine: unstall of non-stalled request %d", r.ID))
 	}
-	delete(e.stalled, r.ID)
 	r.SetState(request.StateRunning)
 	if r.InPrefill() {
 		e.rt.Transition(e.simu.Now(), r.ID, "prefill", e.groupID)
@@ -407,12 +407,6 @@ func (e *Engine) Unstall(r *request.Request) {
 		e.rt.Transition(e.simu.Now(), r.ID, "decode", e.groupID)
 	}
 	e.Wake()
-}
-
-// RestoreStalled re-registers a transplanted request's stall bookkeeping
-// without touching its state (it already carries a stalled state).
-func (e *Engine) RestoreStalled(r *request.Request) {
-	e.stalled[r.ID] = r
 }
 
 // MarkDecodeReady stamps a handed-off request as decode-ready now; the
@@ -476,7 +470,6 @@ func (e *Engine) PreemptDetach(r *request.Request) {
 // its sequence (migration and handoff hand both to the destination).
 func (e *Engine) RemoveRequest(r *request.Request) {
 	e.removeRunning(r)
-	delete(e.stalled, r.ID)
 	delete(e.decodeReady, r.ID)
 }
 
@@ -629,7 +622,7 @@ func (e *Engine) runCollect(rd *round) {
 	for _, r := range e.sortedRunning {
 		// A non-Running state here means stalled: every stall path goes
 		// through Stall (which sets a stall state) and Unstall restores
-		// StateRunning, so the state check replaces the stalled-map lookup.
+		// StateRunning.
 		if r.State() != request.StateRunning || r.Done() {
 			continue
 		}
@@ -918,19 +911,18 @@ func (e *Engine) fireDrainedIfIdle() {
 
 // ExtractRequests empties the engine's request sets for transplantation
 // into a successor group, marking the engine closed. Stalled requests are
-// returned within running; callers must preserve their stall bookkeeping.
-func (e *Engine) ExtractRequests() (running, waiting []*request.Request, stalled map[int]*request.Request) {
+// returned within running, still in their stall state.
+func (e *Engine) ExtractRequests() (running, waiting []*request.Request) {
 	if e.executing {
 		panic(fmt.Sprintf("engine: extracting from executing group %d", e.groupID))
 	}
-	running, stalled = e.running, e.stalled
+	running = e.running
 	e.demandAdd(-e.demandTokens)
 	for e.queue.Len() > 0 {
 		waiting = append(waiting, e.queue.Pop())
 	}
 	e.running = nil
 	e.sortedRunning = nil
-	e.stalled = make(map[int]*request.Request)
 	e.closed = true
-	return running, waiting, stalled
+	return running, waiting
 }

@@ -207,6 +207,32 @@ func TestCollectOrderExcludesStalledAndFinished(t *testing.T) {
 	}
 }
 
+// Unstall panics on a request that is not stalled here: a running request,
+// or one whose stall state belongs to another group.
+func TestUnstallNonStalledPanics(t *testing.T) {
+	var finished []int
+	e, _, pool := newTestEngine(64, func(int) bool { return false }, &finished)
+	running := request.New(1, 0, 16, 4)
+	adopt(t, e, pool, running)
+	foreign := request.New(2, 0, 16, 4)
+	adopt(t, e, pool, foreign)
+	e.Stall(foreign, request.StateMigrating)
+	foreign.GroupID = e.groupID + 1
+	for _, r := range []*request.Request{running, foreign} {
+		if e.IsStalled(r) {
+			t.Errorf("request %d reported stalled", r.ID)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("unstall of request %d (%v) did not panic", r.ID, r.State())
+				}
+			}()
+			e.Unstall(r)
+		}()
+	}
+}
+
 // A round whose every item is blocked by KV pressure the policy cannot
 // relieve schedules exactly one retry, RetryDelay later. Once blocks are
 // freed in the meantime, the retry's round launches and the request runs

@@ -20,39 +20,38 @@ import (
 	"kunserve/internal/sim"
 )
 
-// Options tune the policy; zero values select the paper's defaults. The
-// Disable*/ UseTokenCountFormer knobs drive the Figure 14 ablation.
-type Options struct {
-	// OverloadThreshold is the demand/capacity ratio that triggers a
-	// drop (default 0.70). The trigger is proactive ("has suffered or is
-	// about to suffer", §3): with KVCache provisioned at ~2x average
-	// demand, baseline sits near 0.5, so 0.70 fires early in a burst
-	// without false-triggering in steady state.
-	OverloadThreshold float64
-	// FreeHeadroom over-frees beyond the deficit (default 0.10 of
-	// capacity) so the next wave does not immediately re-trigger.
-	FreeHeadroom float64
-	// RestoreThreshold is the usage fraction of *restored* capacity
-	// below which parameters are restored (the paper uses 50%).
-	RestoreThreshold float64
-	// RestoreHoldoff is the minimum time a drop stays in effect before
+// The paper's settings for the drop trigger (§3, §4.1), the KVCache
+// exchange (§4.2) and the restore rule (§4.4).
+const (
+	// overloadThreshold is the demand/capacity ratio that triggers a
+	// drop. The trigger is proactive ("has suffered or is about to
+	// suffer", §3): with KVCache provisioned at ~2x average demand,
+	// baseline sits near 0.5, so 0.70 fires early in a burst without
+	// false-triggering in steady state.
+	overloadThreshold = 0.70
+	// freeHeadroom over-frees beyond the deficit (a fraction of capacity)
+	// so the next wave does not immediately re-trigger.
+	freeHeadroom = 0.10
+	// restoreThreshold is the usage fraction of *restored* capacity below
+	// which parameters are restored (the paper uses 50%).
+	restoreThreshold = 0.50
+	// restoreHoldoff is the minimum time a drop stays in effect before
 	// restoration is considered, so a brief post-drop lull does not
-	// bounce the cluster straight back (default 20s).
-	RestoreHoldoff sim.Duration
-	// MinLookaheadTokens floors the lookahead recursion (§4.3).
-	MinLookaheadTokens int
-	// ExchangeChunkBytes sizes coordinated-exchange chunks so one chunk
-	// transfers in about a pipeline-stage time (default 256 MiB).
-	ExchangeChunkBytes int64
-	// MaxStages bounds merged-group pipeline depth (default 2): Figure 5
-	// shows every extra stage costs latency, so the planner prefers wide
-	// shallow merges and falls back to KVCache-centric handling beyond
-	// the cap. Raise it for extreme-burst scenarios (§5.6).
-	MaxStages int
+	// bounce the cluster straight back.
+	restoreHoldoff = 20 * sim.Second
+	// exchangeChunkBytes sizes coordinated-exchange chunks so one chunk
+	// transfers in about a pipeline-stage time.
+	exchangeChunkBytes = 256 << 20
+	// maxStages bounds merged-group pipeline depth: Figure 5 shows every
+	// extra stage costs latency, so the planner prefers wide shallow
+	// merges and falls back to KVCache-centric handling beyond the cap.
+	// Raise it for extreme-burst scenarios (§5.6).
+	maxStages = 2
+)
 
-	// DisableDrop turns off parameter dropping entirely (degenerates to
-	// vLLM (DP)); the Figure 14 baseline rung.
-	DisableDrop bool
+// Options select the Figure 14 and Figure 16 ablations; the zero value is
+// KunServe as the paper runs it.
+type Options struct {
 	// DisableCoordinatedExchange sends KVCache exchanges as monolithic
 	// transfers that block activations (ablation rung 2).
 	DisableCoordinatedExchange bool
@@ -62,28 +61,6 @@ type Options struct {
 	// DisableRestore keeps groups pipelined forever (Figure 16's
 	// "KunServe w/o restore").
 	DisableRestore bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.OverloadThreshold == 0 {
-		o.OverloadThreshold = 0.70
-	}
-	if o.FreeHeadroom == 0 {
-		o.FreeHeadroom = 0.10
-	}
-	if o.RestoreThreshold == 0 {
-		o.RestoreThreshold = 0.50
-	}
-	if o.RestoreHoldoff == 0 {
-		o.RestoreHoldoff = 20 * sim.Second
-	}
-	if o.ExchangeChunkBytes == 0 {
-		o.ExchangeChunkBytes = 256 << 20
-	}
-	if o.MaxStages == 0 {
-		o.MaxStages = 2
-	}
-	return o
 }
 
 // Event records one reconfiguration for the experiment timelines (Figure 16
@@ -120,14 +97,11 @@ type Policy struct {
 
 // New creates the policy.
 func New(opts Options) *Policy {
-	return &Policy{opts: opts.withDefaults(), failed: make(map[int]bool)}
+	return &Policy{opts: opts, failed: make(map[int]bool)}
 }
 
 // Name implements cluster.Policy.
 func (p *Policy) Name() string { return "KunServe" }
-
-// Options returns the active options (after defaulting).
-func (p *Policy) Options() Options { return p.opts }
 
 // Events returns the reconfiguration log.
 func (p *Policy) Events() []Event { return p.events }
@@ -182,7 +156,7 @@ func (p *Policy) Setup(c *cluster.Cluster) error {
 	if p.opts.UseTokenCountFormer {
 		p.former = cluster.TokenCountFormer{MicrobatchesPerStage: 2}
 	} else {
-		p.former = newLookaheadFormer(m, p.opts.MinLookaheadTokens)
+		p.former = newLookaheadFormer(m)
 	}
 	return nil
 }

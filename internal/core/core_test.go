@@ -170,16 +170,6 @@ func TestRestoreReturnsToDP(t *testing.T) {
 	}
 }
 
-func TestDisableDropActsLikeVLLM(t *testing.T) {
-	c, p := newCluster(t, 2, Options{DisableDrop: true})
-	tr := overload(c, 1.5)
-	c.Serve(tr, sim.FromSeconds(8000))
-	checkDone(t, c, len(tr.Requests))
-	if p.Drops() != 0 {
-		t.Error("dropped despite DisableDrop")
-	}
-}
-
 // The headline claim, in miniature: under the same overload, KunServe's
 // P99 TTFT beats vLLM (DP) by a wide margin because queued requests are
 // served from dropped-parameter memory instead of waiting.
@@ -225,7 +215,7 @@ func TestAblationKnobsRun(t *testing.T) {
 func TestFourWayMerge(t *testing.T) {
 	// Heavier overload on 4 instances: the planner may merge merged
 	// groups (sizes 2+2 or 2+1+1).
-	c, p := newCluster(t, 4, Options{DisableRestore: true, FreeHeadroom: 0.5})
+	c, p := newCluster(t, 4, Options{DisableRestore: true})
 	tr := overload(c, 2.5)
 	c.Serve(tr, sim.FromSeconds(12000))
 	checkDone(t, c, len(tr.Requests))
@@ -288,10 +278,12 @@ func TestKVExchangeSecondsMagnitude(t *testing.T) {
 }
 
 // A drop merge can carry a request that a restore split stalled for its KV
-// gather into a new group before the gather lands. The landing must resume
-// the request in the group that holds it now, not in the dissolved one.
+// gather into a new group before the gather lands, and a restore split can
+// carry a request that is still exchanging. Either way the landing must
+// resume the request in the group that holds it now, not in the dissolved
+// one.
 func TestGatherLandsAfterRequestChangesGroup(t *testing.T) {
-	c, p := newCluster(t, 2, Options{DisableDrop: true, DisableRestore: true})
+	c, p := newCluster(t, 2, Options{DisableRestore: true})
 	old := c.Groups()[0]
 	r := request.New(7, 0, 512, 64)
 	r.SetState(request.StateRunning)
@@ -306,13 +298,13 @@ func TestGatherLandsAfterRequestChangesGroup(t *testing.T) {
 
 	// Reconfigure while the gather is in flight, the way a drop merge
 	// does: the stall travels with the request into the successor group.
-	running, waiting, stalled := old.ExtractRequests()
+	running, waiting := old.ExtractRequests()
 	c.RemoveGroup(old)
 	ng, err := c.NewGroup([]int{old.Instances()[0].ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.TransplantRequests(ng, running, waiting, stalled)
+	cluster.TransplantRequests(ng, running, waiting)
 	if !ng.IsStalled(r) || r.GroupID != ng.ID {
 		t.Fatal("transplant dropped the exchange stall")
 	}
@@ -321,11 +313,37 @@ func TestGatherLandsAfterRequestChangesGroup(t *testing.T) {
 	if ng.IsStalled(r) || r.State() != request.StateRunning {
 		t.Fatalf("gather landed but request still %v (stalled=%v)", r.State(), ng.IsStalled(r))
 	}
+
+	// The restore split's call shape: each running request is
+	// transplanted on its own, with nothing but its state to carry an
+	// in-flight exchange over. The split runs on a drained group.
+	drained := false
+	ng.Drain(func() { drained = true })
+	for !drained && c.Sim.Step() {
+	}
+	p.startGather(c, ng, r)
+	running, _ = ng.ExtractRequests()
+	c.RemoveGroup(ng)
+	dst, err := c.NewGroup([]int{ng.Instances()[0].ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rr := range running {
+		cluster.TransplantRequests(dst, []*request.Request{rr}, nil)
+	}
+	if !dst.IsStalled(r) {
+		t.Fatal("single-request transplant dropped the exchange stall")
+	}
+	for r.State() != request.StateRunning && c.Sim.Step() {
+	}
+	if dst.IsStalled(r) || r.State() != request.StateRunning {
+		t.Fatalf("gather landed after the split but request still %v", r.State())
+	}
 }
 
 func TestBurstyTraceEndToEnd(t *testing.T) {
 	c, p := newCluster(t, 4, Options{})
-	base := workload.Generate(3, 30*sim.Second, workload.BurstSchedule(3), workload.BurstGPTDataset())
+	base := workload.Generate(3, 30*sim.Second, workload.ScaledBurstSchedule(3, 128*sim.Second), workload.BurstGPTDataset())
 	c.Serve(base, sim.FromSeconds(2000))
 	checkDone(t, c, len(base.Requests))
 	t.Logf("drops=%d restores=%d p99TTFT=%.3fs", p.Drops(), p.Restores(),

@@ -16,19 +16,16 @@ import (
 // Evaluation goes through the shared per-model lookup table: it returns
 // the exact bits a direct evaluation would and, being immutable, is safe
 // to share across cells running concurrently under -parallel.
-func newLookaheadFormer(m *costmodel.Model, minTokens int) cluster.Former {
-	return &lookahead.Former{Model: m, MinTokens: minTokens, Table: costmodel.ForModel(m)}
+func newLookaheadFormer(m *costmodel.Model) cluster.Former {
+	return &lookahead.Former{Model: m, Table: costmodel.ForModel(m)}
 }
 
 // maybeDrop checks the overload condition and, when triggered, derives and
 // executes a drop plan. It returns true when a reconfiguration started.
 func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
-	if p.opts.DisableDrop {
-		return false
-	}
 	demand := c.DemandBytes()
 	capacity := c.CapacityBytes()
-	if float64(demand) <= float64(capacity)*p.opts.OverloadThreshold {
+	if float64(demand) <= float64(capacity)*overloadThreshold {
 		return false
 	}
 	groups := c.Groups()
@@ -52,7 +49,7 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	if over := demand - capacity; over > 0 {
 		required += over
 	}
-	required += int64(float64(capacity) * p.opts.FreeHeadroom)
+	required += int64(float64(capacity) * freeHeadroom)
 
 	// Memory left unmapped by earlier bounded drops is claimed first —
 	// extending a live group's KVCache needs no cooperation at all.
@@ -65,7 +62,7 @@ func (p *Policy) maybeDrop(c *cluster.Cluster) bool {
 	for i, g := range groups {
 		states[i] = planner.GroupState{ID: g.ID, Size: g.Stages()}
 	}
-	plan, err := planner.DeriveCapped(states, c.Model.ParamBytes(), required, p.opts.MaxStages)
+	plan, err := planner.DeriveCapped(states, c.Model.ParamBytes(), required, maxStages)
 	if err != nil && plan == nil {
 		return false
 	}
@@ -186,18 +183,14 @@ func (p *Policy) mergeDrained(c *cluster.Cluster, groups []*cluster.Group, requi
 	var freed int64
 
 	var waiting []*request.Request
-	stalledAll := make(map[int]*request.Request)
 	for _, g := range groups {
-		run, wait, stalled := g.ExtractRequests()
+		run, wait := g.ExtractRequests()
 		carry = append(carry, carried{
 			running: run,
 			oldSize: g.Stages(),
 			srcID:   g.Instances()[0].ID,
 		})
 		waiting = append(waiting, wait...)
-		for id, r := range stalled {
-			stalledAll[id] = r
-		}
 		for _, in := range g.Instances() {
 			insts = append(insts, in.ID)
 		}
@@ -243,13 +236,13 @@ func (p *Policy) mergeDrained(c *cluster.Cluster, groups []*cluster.Group, requi
 	}
 	newSize := len(insts)
 	for _, cr := range carry {
-		cluster.TransplantRequests(ng, cr.running, nil, stalledAll)
+		cluster.TransplantRequests(ng, cr.running, nil)
 		// §4.2: ongoing requests' KVCache is coupled to the dropped
 		// layers; exchange it between group members before they can
 		// execute. New/queued requests are unaffected.
 		p.startExchange(c, ng, cr.running, cr.oldSize, newSize, cr.srcID)
 	}
-	cluster.TransplantRequests(ng, nil, waiting, nil)
+	cluster.TransplantRequests(ng, nil, waiting)
 
 	// The merged pool starts cold: whatever prefix blocks the dissolved
 	// pools still cached (including blocks the transplants just freed
@@ -277,7 +270,7 @@ func (p *Policy) startExchange(c *cluster.Cluster, g *cluster.Group,
 	for _, r := range reqs {
 		// Requests that lost their sequence were requeued by the
 		// transplant; only live ones exchange.
-		if r.State() == request.StateRunning && r.Seq != nil && !g.IsStalled(r) {
+		if r.State() == request.StateRunning && r.Seq != nil {
 			stall = append(stall, r)
 			tokens += int64(r.Seq.Tokens())
 		}
@@ -303,6 +296,6 @@ func (p *Policy) startExchange(c *cluster.Cluster, g *cluster.Group,
 		egress.Send(bytes, network.PriorityBulk, "exchange", finish)
 		return
 	}
-	egress.SendChunked(bytes, p.opts.ExchangeChunkBytes, network.PriorityBulk,
+	egress.SendChunked(bytes, exchangeChunkBytes, network.PriorityBulk,
 		"exchange", finish)
 }

@@ -83,7 +83,7 @@ func (h *nodeHeap) Pop() any {
 	return it
 }
 
-// Derive runs the Figure 6 algorithm. paramBytes is the size of one
+// DeriveCapped runs the Figure 6 algorithm. paramBytes is the size of one
 // complete parameter copy (each merge frees exactly one duplicated copy);
 // required is R, the bytes that must be freed. A required of zero returns
 // the identity plan.
@@ -91,15 +91,12 @@ func (h *nodeHeap) Pop() any {
 // When the requirement cannot be met the best-effort plan (everything
 // merged into one group) is returned alongside ErrInfeasible so the caller
 // can both execute it and trigger its fallback.
-func Derive(groups []GroupState, paramBytes, required int64) (*Plan, error) {
-	return DeriveCapped(groups, paramBytes, required, 0)
-}
-
-// DeriveCapped is Derive with a maximum output group size (pipeline-depth
-// bound): merges whose combined size would exceed maxSize are not taken.
-// Figure 5 motivates the cap — every extra stage costs latency — so the
-// policy bounds depth and treats a capped-out plan as infeasible beyond
-// that point. maxSize <= 0 means unbounded.
+//
+// maxSize bounds the output group size (pipeline depth): merges whose
+// combined size would exceed it are not taken. Figure 5 motivates the cap
+// — every extra stage costs latency — so the policy bounds depth and
+// treats a capped-out plan as infeasible beyond that point. maxSize <= 0
+// means unbounded.
 func DeriveCapped(groups []GroupState, paramBytes, required int64, maxSize int) (*Plan, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("planner: no groups")

@@ -15,7 +15,7 @@ func singletons(n int) []GroupState {
 }
 
 func TestZeroRequirementIsIdentity(t *testing.T) {
-	p, err := Derive(singletons(4), 100, 0)
+	p, err := DeriveCapped(singletons(4), 100, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestZeroRequirementIsIdentity(t *testing.T) {
 }
 
 func TestSingleMergeFreesOneCopy(t *testing.T) {
-	p, err := Derive(singletons(4), 100, 50)
+	p, err := DeriveCapped(singletons(4), 100, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSingleMergeFreesOneCopy(t *testing.T) {
 // first.
 func TestMergesSmallestGroupsFirst(t *testing.T) {
 	groups := []GroupState{{ID: 10, Size: 3}, {ID: 11, Size: 1}, {ID: 12, Size: 2}}
-	p, err := Derive(groups, 100, 1)
+	p, err := DeriveCapped(groups, 100, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMergesSmallestGroupsFirst(t *testing.T) {
 
 func TestIterativeMergingUntilSatisfied(t *testing.T) {
 	// Needing 2.5 copies freed from 8 singletons: three merges.
-	p, err := Derive(singletons(8), 100, 250)
+	p, err := DeriveCapped(singletons(8), 100, 250, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestIterativeMergingUntilSatisfied(t *testing.T) {
 }
 
 func TestInfeasibleReturnsBestEffort(t *testing.T) {
-	p, err := Derive(singletons(3), 100, 1000)
+	p, err := DeriveCapped(singletons(3), 100, 1000, 0)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
@@ -100,23 +100,23 @@ func TestInfeasibleReturnsBestEffort(t *testing.T) {
 }
 
 func TestInputValidation(t *testing.T) {
-	if _, err := Derive(nil, 100, 1); err == nil {
+	if _, err := DeriveCapped(nil, 100, 1, 0); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Derive(singletons(2), 0, 1); err == nil {
+	if _, err := DeriveCapped(singletons(2), 0, 1, 0); err == nil {
 		t.Error("zero param bytes accepted")
 	}
-	if _, err := Derive([]GroupState{{ID: 0, Size: 0}}, 100, 1); err == nil {
+	if _, err := DeriveCapped([]GroupState{{ID: 0, Size: 0}}, 100, 1, 0); err == nil {
 		t.Error("zero-size group accepted")
 	}
-	if _, err := Derive([]GroupState{{ID: 0, Size: 1}, {ID: 0, Size: 1}}, 100, 1); err == nil {
+	if _, err := DeriveCapped([]GroupState{{ID: 0, Size: 1}, {ID: 0, Size: 1}}, 100, 1, 0); err == nil {
 		t.Error("duplicate ids accepted")
 	}
 }
 
 func TestPlanCoversAllGroups(t *testing.T) {
 	groups := []GroupState{{ID: 3, Size: 2}, {ID: 7, Size: 1}, {ID: 9, Size: 4}, {ID: 12, Size: 1}}
-	p, err := Derive(groups, 10, 15)
+	p, err := DeriveCapped(groups, 10, 15, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPropertyPlanAccounting(t *testing.T) {
 		}
 		const copyBytes = 1000
 		required := int64(req16) % (copyBytes * 10)
-		p, err := Derive(groups, copyBytes, required)
+		p, err := DeriveCapped(groups, copyBytes, required, 0)
 		if err != nil && !errors.Is(err, ErrInfeasible) {
 			return false
 		}

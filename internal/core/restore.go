@@ -21,7 +21,7 @@ func (p *Policy) maybeRestore(c *cluster.Cluster) {
 	// Hysteresis: hold the dropped configuration for a while before
 	// restoring, or a momentary lull bounces the cluster back and forth.
 	for _, e := range p.events {
-		if e.Kind == "drop" && c.Sim.Now().Sub(e.End) < p.opts.RestoreHoldoff {
+		if e.Kind == "drop" && c.Sim.Now().Sub(e.End) < restoreHoldoff {
 			return
 		}
 	}
@@ -37,7 +37,7 @@ func (p *Policy) maybeRestore(c *cluster.Cluster) {
 		if g.QueueLen() > 0 {
 			continue // queued demand: restoring now would re-trigger a drop
 		}
-		if float64(used) >= float64(restoredCap)*p.opts.RestoreThreshold {
+		if float64(used) >= float64(restoredCap)*restoreThreshold {
 			continue
 		}
 		p.restoreGroup(c, g)
@@ -99,7 +99,7 @@ func (p *Policy) restoreGroup(c *cluster.Cluster, g *cluster.Group) {
 		restoredBytes += bytes
 		pulls++
 		in := in
-		c.Fabric.Egress(in.ID).SendChunked(bytes, p.opts.ExchangeChunkBytes,
+		c.Fabric.Egress(in.ID).SendChunked(bytes, exchangeChunkBytes,
 			network.PriorityParameter, fmt.Sprintf("restore:%d", in.ID),
 			onePullDone)
 	}
@@ -110,7 +110,7 @@ func (p *Policy) restoreGroup(c *cluster.Cluster, g *cluster.Group) {
 }
 
 func (p *Policy) splitRestoredGroup(c *cluster.Cluster, g *cluster.Group, eventIdx int) {
-	running, waiting, _ := g.ExtractRequests()
+	running, waiting := g.ExtractRequests()
 	insts := g.Instances()
 	c.RemoveGroup(g)
 
@@ -138,7 +138,7 @@ func (p *Policy) splitRestoredGroup(c *cluster.Cluster, g *cluster.Group, eventI
 	// waiting requests likewise.
 	for i, r := range running {
 		dst := newGroups[i%len(newGroups)]
-		cluster.TransplantRequests(dst, []*request.Request{r}, nil, nil)
+		cluster.TransplantRequests(dst, []*request.Request{r}, nil)
 		if r.State() == request.StateRunning && r.Seq != nil {
 			p.startGather(c, dst, r)
 		}
@@ -176,21 +176,21 @@ func (p *Policy) startGather(c *cluster.Cluster, g *cluster.Group, r *request.Re
 	bytes := tokens * c.Model.KVBytesPerToken()
 	g.Stall(r, request.StateExchanging)
 	c.Fabric.Egress(g.Instances()[0].ID).SendChunked(bytes,
-		p.opts.ExchangeChunkBytes, network.PriorityBulk,
+		exchangeChunkBytes, network.PriorityBulk,
 		fmt.Sprintf("gather:%d", r.ID), func() { unstallExchanged(c, []*request.Request{r}) })
 }
 
 // unstallExchanged resumes requests whose KVCache transfer has landed. A
 // reconfiguration can move a still-stalled request into another group while
-// its bytes are in flight (a drop merge carries stalls over), so each
-// request is resumed in the group that holds it now, and only while that
-// group still holds its exchange stall.
+// its bytes are in flight (a transplant carries the stall state over), so
+// each request is resumed in the group that holds it now, and only while it
+// is still exchanging.
 func unstallExchanged(c *cluster.Cluster, reqs []*request.Request) {
 	for _, r := range reqs {
 		if r.State() != request.StateExchanging {
 			continue
 		}
-		if g := c.GroupByID(r.GroupID); g != nil && g.IsStalled(r) {
+		if g := c.GroupByID(r.GroupID); g != nil {
 			g.Unstall(r)
 		}
 	}

@@ -208,7 +208,7 @@ func (p *Pool) trace(name string, args [2]obs.Arg) {
 }
 
 // SetResizeHook registers a callback fired after every capacity change
-// (AddBlocks, RemoveBlocks). Reconfiguration resizes live pools — a drop
+// (AddBlocks, RemoveBlocksEvicting). Reconfiguration resizes live pools — a drop
 // grows the merged group's pool with the freed parameter memory, a restore
 // shrinks it back — and the dispatcher's least-loaded index keys on
 // demand/capacity, so capacity changes must invalidate it like demand
@@ -248,14 +248,6 @@ func (p *Pool) SharedBlocks() int {
 	return n
 }
 
-// Utilization returns the referenced fraction in [0,1]; 0 for empty pools.
-func (p *Pool) Utilization() float64 {
-	if p.totalBlocks == 0 {
-		return 0
-	}
-	return float64(p.usedBlocks) / float64(p.totalBlocks)
-}
-
 // LiveSequences returns the number of unfreed sequences.
 func (p *Pool) LiveSequences() int { return p.seqs }
 
@@ -288,17 +280,11 @@ func (p *Pool) AddBlocks(n int) {
 	}
 }
 
-// RemoveBlocks shrinks the pool by n blocks, evicting cached-free blocks
-// when the free count alone does not cover the shrink (restore reclaims
-// only memory no live sequence holds).
-func (p *Pool) RemoveBlocks(n int) error {
-	_, err := p.RemoveBlocksEvicting(n)
-	return err
-}
-
-// RemoveBlocksEvicting is RemoveBlocks reporting how many cached blocks the
-// shrink had to evict — the number the drop/restore planner surfaces in its
-// reconfiguration events.
+// RemoveBlocksEvicting shrinks the pool by n blocks, evicting cached-free
+// blocks when the free count alone does not cover the shrink (restore
+// reclaims only memory no live sequence holds). It reports how many cached
+// blocks the shrink had to evict — the number the drop/restore planner
+// surfaces in its reconfiguration events.
 func (p *Pool) RemoveBlocksEvicting(n int) (evicted int, err error) {
 	if n < 0 {
 		return 0, fmt.Errorf("kvcache: RemoveBlocks(%d)", n)

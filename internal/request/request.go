@@ -50,6 +50,17 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
+// Stalled reports whether s is a stall state: the request holds its
+// KVCache but stays out of scheduling while a swap, migration, KVCache
+// exchange or handoff is in flight.
+func (s State) Stalled() bool {
+	switch s {
+	case StateSwapped, StateMigrating, StateExchanging, StateHandoff:
+		return true
+	}
+	return false
+}
+
 // validNext enumerates the legal state transitions.
 var validNext = map[State][]State{
 	StateQueued:    {StateRunning},

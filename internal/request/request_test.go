@@ -243,6 +243,21 @@ func TestStateString(t *testing.T) {
 	}
 }
 
+// The stall states are exactly the in-flight transfers that hold a
+// request's KVCache out of scheduling.
+func TestStateStalled(t *testing.T) {
+	want := map[State]bool{
+		StateQueued: false, StateRunning: false, StateFinished: false,
+		StatePreempted: false, StateSwapped: true, StateMigrating: true,
+		StateExchanging: true, StateHandoff: true,
+	}
+	for st, stalled := range want {
+		if st.Stalled() != stalled {
+			t.Errorf("%v.Stalled() = %v, want %v", st, !stalled, stalled)
+		}
+	}
+}
+
 // Property: under any interleaving of chunked prefill and decode, the
 // context length never exceeds TotalTokens and equals it exactly at Done.
 func TestPropertyLifecycleAccounting(t *testing.T) {

@@ -164,15 +164,10 @@ func DatasetByName(name string) (Dataset, error) {
 // arrival-process layer.
 type RateSegment = arrival.Segment
 
-// BurstSchedule reproduces the Figure 2 pattern over a ~128 s window: a
-// baseline rate that roughly doubles at 45 s with no warning, holds through
-// the burst, and relaxes.
-func BurstSchedule(baseRPS float64) []RateSegment {
-	return ScaledBurstSchedule(baseRPS, 128*sim.Second)
-}
-
-// ScaledBurstSchedule is BurstSchedule with the burst positions scaled to
-// an arbitrary trace duration (the temporal pattern is preserved, per
+// ScaledBurstSchedule reproduces the Figure 2 pattern: over the paper's
+// ~128 s window, a baseline rate that roughly doubles at 45 s with no
+// warning, holds through the burst, and relaxes. The burst positions scale
+// to an arbitrary trace duration (the temporal pattern is preserved, per
 // TraceUpscaler's methodology).
 func ScaledBurstSchedule(baseRPS float64, duration sim.Duration) []RateSegment {
 	at := func(frac float64) sim.Time {
@@ -186,12 +181,8 @@ func ScaledBurstSchedule(baseRPS float64, duration sim.Duration) []RateSegment {
 	}
 }
 
-// LongRunSchedule reproduces the Figure 16 640 s run with two burst waves.
-func LongRunSchedule(baseRPS float64) []RateSegment {
-	return ScaledLongRunSchedule(baseRPS, 640*sim.Second)
-}
-
-// ScaledLongRunSchedule is LongRunSchedule scaled to an arbitrary duration.
+// ScaledLongRunSchedule reproduces the Figure 16 640 s run with two burst
+// waves, scaled to an arbitrary duration.
 func ScaledLongRunSchedule(baseRPS float64, duration sim.Duration) []RateSegment {
 	at := func(frac float64) sim.Time {
 		return sim.Time(float64(duration) * frac)

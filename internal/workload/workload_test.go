@@ -73,8 +73,8 @@ func TestDatasetByName(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(42, 100*sim.Second, BurstSchedule(3), BurstGPTDataset())
-	b := Generate(42, 100*sim.Second, BurstSchedule(3), BurstGPTDataset())
+	a := Generate(42, 100*sim.Second, ScaledBurstSchedule(3, 128*sim.Second), BurstGPTDataset())
+	b := Generate(42, 100*sim.Second, ScaledBurstSchedule(3, 128*sim.Second), BurstGPTDataset())
 	if len(a.Requests) != len(b.Requests) {
 		t.Fatal("same seed, different lengths")
 	}
@@ -83,7 +83,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("request %d differs", i)
 		}
 	}
-	c := Generate(43, 100*sim.Second, BurstSchedule(3), BurstGPTDataset())
+	c := Generate(43, 100*sim.Second, ScaledBurstSchedule(3, 128*sim.Second), BurstGPTDataset())
 	if len(a.Requests) == len(c.Requests) {
 		same := true
 		for i := range a.Requests {
@@ -99,7 +99,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateArrivalsSortedAndBounded(t *testing.T) {
-	tr := Generate(1, 128*sim.Second, BurstSchedule(5), BurstGPTDataset())
+	tr := Generate(1, 128*sim.Second, ScaledBurstSchedule(5, 128*sim.Second), BurstGPTDataset())
 	if len(tr.Requests) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -120,7 +120,7 @@ func TestGenerateArrivalsSortedAndBounded(t *testing.T) {
 
 // Figure 2(a): the burst roughly doubles the arrival rate at 45 s.
 func TestBurstScheduleDoublesRate(t *testing.T) {
-	tr := Generate(9, 75*sim.Second, BurstSchedule(10), BurstGPTDataset())
+	tr := Generate(9, 75*sim.Second, ScaledBurstSchedule(10, 128*sim.Second), BurstGPTDataset())
 	var before, after int
 	for _, r := range tr.Requests {
 		if r.Arrival < sim.FromSeconds(45) {
@@ -137,7 +137,7 @@ func TestBurstScheduleDoublesRate(t *testing.T) {
 }
 
 func TestLongRunScheduleHasTwoWaves(t *testing.T) {
-	tr := Generate(5, 640*sim.Second, LongRunSchedule(8), BurstGPTDataset())
+	tr := Generate(5, 640*sim.Second, ScaledLongRunSchedule(8, 640*sim.Second), BurstGPTDataset())
 	series := tr.RPSSeries(10 * sim.Second)
 	base := series[2]
 	wave1 := series[10] // t ~ 100s
@@ -151,7 +151,7 @@ func TestLongRunScheduleHasTwoWaves(t *testing.T) {
 }
 
 func TestUpscalePreservesPatternAndScalesRate(t *testing.T) {
-	base := Generate(3, 100*sim.Second, BurstSchedule(4), BurstGPTDataset())
+	base := Generate(3, 100*sim.Second, ScaledBurstSchedule(4, 128*sim.Second), BurstGPTDataset())
 	up := Upscale(base, 2.5, 11)
 	ratio := float64(len(up.Requests)) / float64(len(base.Requests))
 	if ratio < 2.3 || ratio > 2.7 {
@@ -192,7 +192,7 @@ func TestUpscaleBadFactorPanics(t *testing.T) {
 }
 
 func TestRepeatBurstExtendsBurst(t *testing.T) {
-	base := Generate(3, 100*sim.Second, BurstSchedule(5), LongBenchDataset())
+	base := Generate(3, 100*sim.Second, ScaledBurstSchedule(5, 128*sim.Second), LongBenchDataset())
 	ext := RepeatBurst(base, sim.FromSeconds(45), sim.FromSeconds(75), 3)
 	if ext.Duration() <= base.Duration() {
 		t.Error("replay did not extend the trace")
@@ -296,7 +296,7 @@ func TestRPSSeriesZeroWindow(t *testing.T) {
 // Generate must be exactly GenerateProcess over a piecewise Poisson —
 // the arrival-layer refactor may not change any trace.
 func TestGenerateMatchesGenerateProcess(t *testing.T) {
-	sched := BurstSchedule(6)
+	sched := ScaledBurstSchedule(6, 128*sim.Second)
 	a := Generate(42, 128*sim.Second, sched, ShareGPTDataset())
 	b := GenerateProcess(42, 128*sim.Second, &arrival.Piecewise{Segments: sched}, ShareGPTDataset())
 	if len(a.Requests) != len(b.Requests) {
