@@ -105,11 +105,6 @@ func (StaticPP) HandlePressure(g *cluster.Group, need int) bool {
 	return recomputeVictim(g)
 }
 
-// Former fills the pipeline with two microbatches per stage.
-func (StaticPP) Former() cluster.Former {
-	return cluster.TokenCountFormer{MicrobatchesPerStage: 2}
-}
-
 // VLLMPP returns the vLLM (PP) baseline: pairwise halved parameters.
 func VLLMPP() StaticPP { return StaticPP{Width: 2} }
 

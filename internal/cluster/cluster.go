@@ -258,7 +258,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.Fabric = network.NewFabric(c.Sim, cfg.Instances, cfg.NetBandwidth, network.DefaultLatency)
 	for i := 0; i < cfg.Instances; i++ {
-		in, err := instance.NewProvisioned(i, cfg.GPU, cfg.Model, cfg.KVProvisionBytes)
+		in, err := instance.New(i, cfg.GPU, cfg.Model, cfg.KVProvisionBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -338,7 +338,7 @@ func TestGroupInvariantsAfterServe(t *testing.T) {
 			t.Error(err)
 		}
 		for _, in := range g.Instances() {
-			if err := in.Mem.CheckInvariants(); err != nil {
+			if err := in.CheckInvariants(); err != nil {
 				t.Error(err)
 			}
 		}

@@ -17,11 +17,11 @@ type Former interface {
 // TokenCountFormer is the state-of-the-art token-count-based microbatch
 // formulation (Sarathi-Serve/vLLM): near-equal token counts per microbatch,
 // blind to the quadratic attention cost (Figure 9 (b)).
-type TokenCountFormer struct {
-	// MicrobatchesPerStage scales how many microbatches fill the
-	// pipeline; vLLM uses one in-flight microbatch per stage.
-	MicrobatchesPerStage int
-}
+type TokenCountFormer struct{}
+
+// microbatchesPerStage is how many token-count microbatches fill each
+// pipeline stage.
+const microbatchesPerStage = 2
 
 // Form implements Former.
 func (f TokenCountFormer) Form(items []batching.Item, stages int) [][]batching.Item {
@@ -31,11 +31,7 @@ func (f TokenCountFormer) Form(items []batching.Item, stages int) [][]batching.I
 		}
 		return [][]batching.Item{items}
 	}
-	per := f.MicrobatchesPerStage
-	if per <= 0 {
-		per = 1
-	}
-	return batching.SplitByTokenCount(items, stages*per)
+	return batching.SplitByTokenCount(items, stages*microbatchesPerStage)
 }
 
 // Policy is the overload-handling mechanism under evaluation. All five

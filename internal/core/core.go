@@ -154,7 +154,7 @@ func (p *Policy) Setup(c *cluster.Cluster) error {
 	}
 	p.costModel = m
 	if p.opts.UseTokenCountFormer {
-		p.former = cluster.TokenCountFormer{MicrobatchesPerStage: 2}
+		p.former = cluster.TokenCountFormer{}
 	} else {
 		p.former = newLookaheadFormer(m)
 	}
@@ -187,20 +187,8 @@ func (p *Policy) OnTick(c *cluster.Cluster) {
 }
 
 // singletonCapacityTokens returns one instance's KV token capacity when
-// holding a full parameter copy (the restore target): its current KV
-// region minus the memory the missing layers will take back. This respects
-// the deployment's KV provisioning.
+// holding a full parameter copy (the restore target). This respects the
+// deployment's KV provisioning.
 func singletonCapacityTokens(in *instance.Instance) int {
-	missingParams := in.Model.ParamBytes() - in.ParamBytes()
-	// Restoration claims unmapped memory first; only the remainder comes
-	// out of the KVCache region.
-	fromKV := missingParams - in.FreeBytes()
-	if fromKV < 0 {
-		fromKV = 0
-	}
-	kv := in.KVBytes() - fromKV
-	if kv < 0 {
-		kv = 0
-	}
-	return int(kv / in.Model.KVBytesPerToken())
+	return int(in.KVBytesAfterRestore() / in.Model.KVBytesPerToken())
 }

@@ -66,7 +66,7 @@ func checkDone(t *testing.T, c *cluster.Cluster, want int) {
 			t.Error("leaked sequences")
 		}
 		for _, in := range g.Instances() {
-			if err := in.Mem.CheckInvariants(); err != nil {
+			if err := in.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,23 +9,19 @@
 package lookahead
 
 import (
-	"fmt"
-
 	"kunserve/internal/batching"
 	"kunserve/internal/costmodel"
 )
 
-// DefaultMinTokens is the recursion floor: microbatches below this size
-// stop splitting (Figure 11 lines 4–5). The paper derives it by dividing
-// total token numbers, profiled offline; 512 keeps chunks GPU-efficient.
-const DefaultMinTokens = 512
+// minTokens is the recursion floor: microbatches below this size stop
+// splitting (Figure 11 lines 4–5). The paper derives it by dividing total
+// token numbers, profiled offline; 512 keeps chunks GPU-efficient.
+const minTokens = 512
 
 // Former is a cluster.Former that balances microbatches by modelled cost.
 type Former struct {
 	// Model is the fitted Eq. 1 cost model.
 	Model *costmodel.Model
-	// MinTokens floors microbatch size; <= 0 uses DefaultMinTokens.
-	MinTokens int
 	// Table, when set, evaluates Eq. 1 through the shared per-model
 	// lookup table (costmodel.ForModel). It is immutable, so the cells
 	// that share it under -parallel may read it concurrently; it returns
@@ -66,25 +62,18 @@ func (f *Former) Form(items []batching.Item, stages int) [][]batching.Item {
 	if stages <= 1 {
 		return [][]batching.Item{items}
 	}
-	min := f.MinTokens
-	if min <= 0 {
-		min = DefaultMinTokens
-	}
 	// Halting must also guarantee at least `stages` microbatches when
 	// the work allows, or the pipeline starves; shrink the floor when
 	// the batch is small.
-	total := batching.TotalTokens(items)
-	if floor := total / (2 * stages); floor < min && floor >= 1 {
-		min = floor
+	floor := minTokens
+	if small := batching.TotalTokens(items) / (2 * stages); small >= 1 && small < floor {
+		floor = small
 	}
-	if min < 1 {
-		min = 1
-	}
-	return f.balance(items, min)
+	return f.balance(items, floor)
 }
 
-func (f *Former) balance(b []batching.Item, minTokens int) [][]batching.Item {
-	if batching.TotalTokens(b) <= minTokens || !splittable(b) {
+func (f *Former) balance(b []batching.Item, floor int) [][]batching.Item {
+	if batching.TotalTokens(b) <= floor || !splittable(b) {
 		return [][]batching.Item{b}
 	}
 	// Balance on summed per-item costs: the λ weight-load discount
@@ -98,8 +87,8 @@ func (f *Former) balance(b []batching.Item, minTokens int) [][]batching.Item {
 	if len(left) == 0 || len(right) == 0 {
 		return [][]batching.Item{b}
 	}
-	out := f.balance(left, minTokens)
-	out = append(out, f.balance(right, minTokens)...)
+	out := f.balance(left, floor)
+	out = append(out, f.balance(right, floor)...)
 	return out
 }
 
@@ -188,9 +177,4 @@ func (f *Former) Imbalance(mbs [][]batching.Item) float64 {
 		return 1
 	}
 	return max / mean
-}
-
-// String describes the former for experiment output.
-func (f *Former) String() string {
-	return fmt.Sprintf("lookahead(min=%d)", f.MinTokens)
 }

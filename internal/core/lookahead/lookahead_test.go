@@ -138,12 +138,18 @@ func TestProducesEnoughMicrobatchesForPipeline(t *testing.T) {
 
 func TestMinTokensHaltsRecursion(t *testing.T) {
 	f, _ := fittedFormer(t)
-	f.MinTokens = 100000 // absurdly high: nothing should split (floor shrinks it)
-	items := []batching.Item{prefillItem(1, 2048)}
-	mbs := f.Form(items, 2)
-	// The dynamic floor still guarantees the pipeline at least 2.
-	if len(mbs) < 2 {
-		t.Errorf("microbatches = %d", len(mbs))
+	// 600 tokens over 2 stages is below 2·stages·minTokens, so the floor
+	// shrinks to 600/(2·2) = 150: the ~300-token halves that the 512
+	// floor would keep split again, and every microbatch ends at or
+	// below 150 tokens.
+	mbs := f.Form([]batching.Item{prefillItem(1, 600)}, 2)
+	if len(mbs) < 4 || tokensOf(mbs) != 600 {
+		t.Errorf("microbatches = %d carrying %d tokens", len(mbs), tokensOf(mbs))
+	}
+	for _, mb := range mbs {
+		if n := batching.TotalTokens(mb); n > 150 {
+			t.Errorf("microbatch of %d tokens above the shrunken floor", n)
+		}
 	}
 	// With a single tiny decode item nothing can split.
 	one := f.Form([]batching.Item{decodeItem(2, 50)}, 2)
@@ -183,9 +189,6 @@ func TestImbalanceDiagnostic(t *testing.T) {
 	}
 	if f.Imbalance(nil) != 1 {
 		t.Error("empty imbalance")
-	}
-	if f.String() == "" {
-		t.Error("String")
 	}
 }
 
